@@ -587,7 +587,7 @@ mod tests {
     }
 
     /// Every rebake after a table mutation carries a fresh generation
-    /// id — the fence that keeps a scheduler's record cache from
+    /// id — the fence that keeps a scheduler's live run record from
     /// splicing placements recorded against a stale frozen schedule.
     /// A pre-mutation `Arc` to the old bake stays valid (clones keep
     /// their originator's id, content being identical), but no new

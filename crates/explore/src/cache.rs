@@ -49,7 +49,11 @@ use std::time::Duration;
 /// blob layout; this covers the meaning of the payload.)
 /// History: 2 — MH dedupes duplicate moves across widening rounds, so
 /// `StepReport::evaluations` dropped for MH scenarios (PR 4).
-pub const CODE_EPOCH: u32 = 2;
+/// 3 — delta runs splice only from the live run record (the
+/// fingerprint-keyed record cache is gone), so
+/// `StepReport::delta_schedules` and `spliced_steps` changed for MH/SA
+/// scenarios.
+pub const CODE_EPOCH: u32 = 3;
 
 /// The canonical, serializable identity of one scenario. Field order is
 /// fixed by this struct, so the fingerprint JSON is stable.

@@ -11,19 +11,18 @@
 //!   per-step contexts share one bake per system state;
 //! * a persistent [`Scheduler`] reuses its scratch arenas (job records,
 //!   ready heap, per-graph priority cache) across evaluations;
-//! * **delta scheduling**: the context keeps the solution keys of the
-//!   last [`RECORD_CACHE_CAP`] raw schedules next to the scheduler's
-//!   fingerprint-keyed record cache. When a candidate differs from
-//!   *any* of those recorded solutions by at most
-//!   [`DELTA_MAX_CHANGED_VARS`] design variables (the single-move
-//!   neighbors MH and SA explore, plus the two-move distance between
-//!   consecutive trials proposed from one pivot), the engine splices
-//!   from the record with the **smallest diff** — an A→B→A revisit
-//!   chain splices B→A from A's own record with a near-zero suffix
-//!   instead of undoing everything B touched. Delta only engages after
-//!   [`DELTA_MIN_CHAIN`] raw schedules: shorter runs (AH's
-//!   two-candidate probes) can never amortize the record bookkeeping.
-//!   See the decision rules in `incdes_sched::engine`;
+//! * **delta scheduling**: the context keeps the solution key of its
+//!   last raw schedule — the *live* solution, which the scheduler's job
+//!   arena and live run record describe. When a candidate differs from
+//!   it by at most [`DELTA_MAX_CHANGED_VARS`] design variables (the
+//!   single-move neighbors MH and SA explore, plus the two-move
+//!   distance between consecutive trials proposed from one pivot), the
+//!   engine patches the arena with exactly those variables and splices
+//!   the live record's unchanged prefix; any other candidate takes the
+//!   full path. Delta only engages after [`DELTA_MIN_CHAIN`] raw
+//!   schedules: shorter runs (AH's two-candidate probes) can never
+//!   amortize the record bookkeeping. See the decision rules in
+//!   `incdes_sched::engine`;
 //! * the slack profiles are `Arc`-backed, so untouched resources alias
 //!   the frozen base's (or the previous evaluation's) gap lists, and
 //!   the per-resource C2 terms ([`incdes_metrics::C2Cache`]) plus the
@@ -54,7 +53,7 @@ use incdes_metrics::{C1Cache, C2Cache};
 use incdes_model::{AppId, Application, Architecture, FutureProfile, PeId, Time};
 use incdes_obs::counters::{self, Counter};
 use incdes_obs::phase::{self, Phase};
-use incdes_sched::engine::{check_horizon, ChangedVar, FrozenBase, Scheduler, RECORD_CACHE_CAP};
+use incdes_sched::engine::{check_horizon, ChangedVar, FrozenBase, Scheduler};
 use incdes_sched::{schedule, AppSpec, SchedError, ScheduleTable, SlackProfile};
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
@@ -229,9 +228,8 @@ pub struct Evaluation {
 /// the stale half is evicted (entries whose last hit is at or below the
 /// median stamp): SA and MH revisit *recent* states, so the LRU-ish
 /// policy keeps the hit rate high while capping the memory spent on
-/// full `Evaluation` clones — and, unlike a wholesale clear, it keeps
-/// the recently raw-scheduled predecessors resident, coherent with the
-/// scheduler's record cache.
+/// full `Evaluation` clones. The delta gate's live key lives outside
+/// the memo, so eviction never disengages delta scheduling.
 const MEMO_CAP: usize = 512;
 
 /// Minimum number of raw schedules in a context's lifetime before the
@@ -244,7 +242,7 @@ pub const DELTA_MIN_CHAIN: usize = 3;
 /// non-zero hints, in deterministic order. Two solutions with the same
 /// key produce byte-identical schedules, so memo hits are exact (no
 /// hashing-collision risk — the key stores the actual design variables,
-/// and the hash only routes to a bucket). Doubling as the predecessor
+/// and the hash only routes to a bucket). Doubling as the live-solution
 /// snapshot the delta gate diffs against.
 ///
 /// Stored flat: every variable is one `(word, value)` pair, with the
@@ -335,12 +333,11 @@ struct MemoEntry {
     stamp: u64,
 }
 
-/// The solution memo, bucketed by the 64-bit solution fingerprint —
-/// the same FxHash of the full key that routes the scheduler's record
-/// cache. One fingerprint computation per evaluation serves bucket
-/// routing, in-batch duplicate detection *and* keyed splicing, where
-/// the old `HashMap<MemoKey, _>` re-hashed the full key on every probe
-/// and again on insert. Buckets store the exact keys, so a hit still
+/// The solution memo, bucketed by the 64-bit solution fingerprint (an
+/// FxHash of the full key). One fingerprint computation per evaluation
+/// serves bucket routing and in-batch duplicate detection, where a
+/// `HashMap<MemoKey, _>` would re-hash the full key on every probe and
+/// again on insert. Buckets store the exact keys, so a hit still
 /// compares the actual design variables: a fingerprint collision only
 /// costs a short in-bucket scan, never a wrong answer.
 #[derive(Debug, Default)]
@@ -383,10 +380,10 @@ impl Memo {
             .collect()
     }
 
-    fn retain(&mut self, mut keep: impl FnMut(&MemoKey, &MemoEntry) -> bool) {
+    fn retain(&mut self, mut keep: impl FnMut(&MemoEntry) -> bool) {
         let mut kept = 0;
         self.buckets.retain(|_, bucket| {
-            bucket.retain(|(k, e)| keep(k, e));
+            bucket.retain(|(_, e)| keep(e));
             kept += bucket.len();
             !bucket.is_empty()
         });
@@ -394,11 +391,9 @@ impl Memo {
     }
 }
 
-/// The solution fingerprint shared with the scheduler's record cache:
-/// the FxHash of the full memo key. Collisions are harmless — the
-/// engine recomputes the exact divergence against any record it picks,
-/// so a wrong `prefer` only costs a longer splice, never a wrong
-/// schedule.
+/// The solution fingerprint: the FxHash of the full memo key. It only
+/// routes to a memo bucket, whose entries store the exact keys, so a
+/// collision costs a short scan, never a wrong answer.
 fn fingerprint(key: &MemoKey) -> u64 {
     let mut h = FxHasher::default();
     h.add(((key.split[0] as u64) << 32) | key.split[1] as u64);
@@ -467,9 +462,9 @@ pub const DELTA_MAX_CHANGED_VARS: usize = 4;
 /// Walks the symmetric difference of two sorted key→value slices,
 /// invoking `on_diff` for every differing key; gives up (returns
 /// `false`) as soon as more than `cap` differences accumulate in
-/// `count`. A plain two-pointer walk: the solution-ranking loop calls
-/// this up to `3 × RECORD_CACHE_CAP` times per raw schedule, so the
-/// per-element cost is on the strategy critical path.
+/// `count`. A plain two-pointer walk: the delta gate runs it on every
+/// raw schedule, so the per-element cost is on the strategy critical
+/// path.
 fn sym_diff<K: Ord + Copy, V: PartialEq>(
     a: &[(K, V)],
     b: &[(K, V)],
@@ -517,20 +512,16 @@ fn sym_diff<K: Ord + Copy, V: PartialEq>(
 
 /// Collects the design variables differing between two solution keys
 /// into `vars` (sorted, deduplicated, ready for
-/// `Scheduler::schedule_delta_hinted_with_slack`). Returns the raw
-/// symmetric-difference count — the exact number
-/// [`count_key_delta`] would report, *before* deduplication — or
-/// `None` (leaving `vars` unspecified) when more than `cap` variables
-/// differ; the caller then takes the full-engine path. Returning the
-/// count lets the ranking loop seed its branch-and-bound bound from
-/// this walk instead of counting the front record a second time. Both
-/// keys store their variables sorted, so this is a linear slice walk.
+/// `Scheduler::schedule_delta_hinted_with_slack`). Returns `false`
+/// (leaving `vars` unspecified) when more than `cap` variables differ;
+/// the caller then takes the full-engine path. Both keys store their
+/// variables sorted, so this is a linear slice walk.
 fn collect_key_delta(
     prev: &MemoKey,
     cur: &MemoKey,
     cap: usize,
     vars: &mut Vec<ChangedVar>,
-) -> Option<usize> {
+) -> bool {
     vars.clear();
     let mut count = 0usize;
     let proc_var = |word: u64| ChangedVar::Proc {
@@ -541,12 +532,12 @@ fn collect_key_delta(
     if !sym_diff(prev.mapping(), cur.mapping(), cap, &mut count, |k| {
         vars.push(proc_var(k))
     }) {
-        return None;
+        return false;
     }
     if !sym_diff(prev.proc_gaps(), cur.proc_gaps(), cap, &mut count, |k| {
         vars.push(proc_var(k))
     }) {
-        return None;
+        return false;
     }
     if !sym_diff(
         prev.msg_slots(),
@@ -561,25 +552,13 @@ fn collect_key_delta(
             })
         },
     ) {
-        return None;
+        return false;
     }
     // A remap and its hint reset touch the same process twice; the
     // engine wants each variable once, in expansion order.
     vars.sort_unstable();
     vars.dedup();
-    Some(count)
-}
-
-/// Count-only twin of [`collect_key_delta`]: the number of differing
-/// design variables between two solution keys, or `None` when more than
-/// `cap` differ. Used to rank the recorded solutions as splice sources
-/// without materializing their variable lists.
-fn count_key_delta(prev: &MemoKey, cur: &MemoKey, cap: usize) -> Option<usize> {
-    let mut count = 0usize;
-    let ok = sym_diff(prev.mapping(), cur.mapping(), cap, &mut count, |_| {})
-        && sym_diff(prev.proc_gaps(), cur.proc_gaps(), cap, &mut count, |_| {})
-        && sym_diff(prev.msg_slots(), cur.msg_slots(), cap, &mut count, |_| {});
-    ok.then_some(count)
+    true
 }
 
 /// The per-context evaluation engine state: baked frozen base, scheduler
@@ -595,15 +574,11 @@ struct EvalEngine {
     memo_clock: u64,
     /// Reused key allocation for the per-evaluation memo probe.
     key_scratch: MemoKey,
-    /// Keys of the most recent raw schedules, most recent first — the
-    /// context-side mirror of the scheduler's record cache. The front
-    /// entry is the solution the scheduler's job arena currently
-    /// describes (the arena-patch diff target); the best-diff entry
-    /// names the splice source via its fingerprint. The two caches may
-    /// drift (the scheduler evicts by its own stamps): a `prefer`
-    /// fingerprint the scheduler no longer holds silently falls back to
-    /// its live record, which is always correct.
-    recent: Vec<(u64, MemoKey)>,
+    /// Key of the most recent raw schedule: the solution the
+    /// scheduler's job arena and live record describe, which the delta
+    /// gate diffs candidates against. `None` until the first raw
+    /// schedule, and on the full-engine tier.
+    live_key: Option<MemoKey>,
     /// Per-resource C2 terms with window-level incremental updates:
     /// aliased gap lists hit by storage identity, changed lists
     /// re-measure only the `t_min` windows their diff span intersects.
@@ -614,48 +589,9 @@ struct EvalEngine {
     vars_scratch: Vec<ChangedVar>,
 }
 
-/// Records a raw schedule of `key` (fingerprint `fp`) in the recency
-/// list: the chosen splice source (if any) is bumped ahead of the LRU
-/// tail first — a run of rejected trials must not evict the pivot they
-/// all splice from — then the current key takes the front slot,
-/// recycling the evicted entry's allocations.
-fn note_raw_schedule(
-    recent: &mut Vec<(u64, MemoKey)>,
-    fp: u64,
-    key: &MemoKey,
-    chosen: Option<u64>,
-) {
-    if let Some(pf) = chosen.filter(|&pf| pf != fp) {
-        if let Some(i) = recent.iter().position(|&(f, _)| f == pf) {
-            if i > 0 {
-                let e = recent.remove(i);
-                recent.insert(0, e);
-            }
-        }
-    }
-    if let Some(i) = recent.iter().position(|&(f, _)| f == fp) {
-        let mut e = recent.remove(i);
-        e.1.clone_from(key);
-        recent.insert(0, e);
-    } else if recent.len() >= RECORD_CACHE_CAP {
-        let mut e = recent.pop().expect("len checked");
-        e.0 = fp;
-        e.1.clone_from(key);
-        recent.insert(0, e);
-    } else {
-        recent.insert(0, (fp, key.clone()));
-    }
-}
-
 impl EvalEngine {
     /// LRU-ish memo eviction at [`MEMO_CAP`]: drop the stale half
-    /// (entries whose last hit is at or below the median stamp) —
-    /// *except* entries still named by the `recent` record-cache
-    /// mirror. Those keys are the predecessor snapshots the delta gate
-    /// diffs candidates against and the fingerprints the scheduler can
-    /// still splice from; evicting one silently degrades its keyed
-    /// splices to the live-record fallback, so every cached-record
-    /// fingerprint stays answerable after eviction.
+    /// (entries whose last hit is at or below the median stamp).
     fn evict_if_full(&mut self) {
         if self.memo.len() < MEMO_CAP {
             return;
@@ -663,10 +599,9 @@ impl EvalEngine {
         let mut stamps = self.memo.stamps();
         stamps.sort_unstable();
         let cutoff = stamps[stamps.len() / 2];
-        let EvalEngine { memo, recent, .. } = self;
-        let before = memo.len();
-        memo.retain(|k, e| e.stamp > cutoff || recent.iter().any(|(_, rk)| rk == k));
-        counters::add(Counter::MemoEvictions, (before - memo.len()) as u64);
+        let before = self.memo.len();
+        self.memo.retain(|e| e.stamp > cutoff);
+        counters::add(Counter::MemoEvictions, (before - self.memo.len()) as u64);
     }
 }
 
@@ -703,7 +638,6 @@ struct EngineCounts {
 struct SchedDiag {
     delta_schedules: usize,
     spliced_steps: usize,
-    replayed_steps: usize,
 }
 
 /// The objective terms of a freshly scheduled slack profile, through the
@@ -755,7 +689,7 @@ fn engine_evaluate(
         return result;
     }
     drop(lookup_scope);
-    let result = engine_evaluate_raw(scene, engine, counts, full_engine, solution, &key, fp);
+    let result = engine_evaluate_raw(scene, engine, counts, full_engine, solution, &key);
     let _store_scope = phase::scope(Phase::Memo);
     engine.evict_if_full();
     engine.memo.insert(
@@ -780,7 +714,6 @@ fn engine_evaluate_raw(
     full_engine: bool,
     solution: &Solution,
     key: &MemoKey,
-    fp: u64,
 ) -> Result<Evaluation, SchedError> {
     // Spec assembly and validation are the delta machinery's
     // front-end, like expansion inside the engine: charge them to the
@@ -795,7 +728,7 @@ fn engine_evaluate_raw(
     let EvalEngine {
         base,
         scheduler,
-        recent,
+        live_key,
         c2,
         c1,
         vars_scratch,
@@ -811,92 +744,32 @@ fn engine_evaluate_raw(
     counts.raw_schedules += 1;
 
     // Delta gate: once the chain is long enough to amortize record
-    // bookkeeping, rank every recorded solution by its diff against
-    // the candidate and splice from the closest one (ties favor the
-    // most recent). A revisit chain A→B→A finds A's own record at
-    // distance ~0. Everything else (short chains, big jumps,
-    // `with_full_evaluation`) resets from the base. Records enter
-    // the scheduler's cache by promotion: the first trial that
-    // names a solution as its predecessor snapshots the live
-    // record before the run replaces it.
-    let ranking_scope = phase::scope(Phase::Splice);
-    let mut best: Option<(usize, usize)> = None;
-    let mut front_delta_ok = false;
-    if !full_engine && counts.raw_schedules >= DELTA_MIN_CHAIN {
-        // The job arena still describes the *front* (most recent) key,
-        // so the patch hint must diff against it no matter which record
-        // wins the ranking below. One collecting walk serves both
-        // purposes: `collect_key_delta` reports the same raw
-        // symmetric-difference count `count_key_delta` would, so
-        // seeding the ranking with it leaves the winner unchanged
-        // while sparing the front record a second full-length walk.
-        if let Some((front_fp, front_key)) = recent.first() {
-            if let Some(diff) =
-                collect_key_delta(front_key, key, DELTA_MAX_CHANGED_VARS, vars_scratch)
-            {
-                front_delta_ok = true;
-                best = Some((diff, 0));
-            }
-            if *front_fp == fp {
-                // Bit-identical revisit (usually one the memo evicted,
-                // or a failed-run retry): distance zero by definition.
-                // A fingerprint collision would only pick a farther
-                // predecessor — splicing stays correct for any choice.
-                best = Some((0, 0));
-            }
-        }
-        if best.is_none_or(|(d, _)| d != 0) {
-            for (i, (rec_fp, rec_key)) in recent.iter().enumerate().skip(1) {
-                if *rec_fp == fp {
-                    // Same zero-distance shortcut as the front above.
-                    best = Some((0, i));
-                    break;
-                }
-                // Branch-and-bound: a record can only win with a
-                // strictly smaller diff, so once a best is held the
-                // counting walk may give up at `best - 1` instead of
-                // the full cap — records iterate most-recent-first and
-                // ties keep the earlier (more recent) holder, so the
-                // winner is unchanged.
-                let cap = best.map_or(DELTA_MAX_CHANGED_VARS, |(d, _)| {
-                    d.saturating_sub(1).min(DELTA_MAX_CHANGED_VARS)
-                });
-                if let Some(diff) = count_key_delta(rec_key, key, cap) {
-                    if best.is_none_or(|(best_diff, _)| diff < best_diff) {
-                        best = Some((diff, i));
-                        if diff == 0 {
-                            // An exact revisit cannot be beaten.
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let chosen = best.map(|(_, i)| recent[i].0);
-    let patch_hint = chosen.is_some() && front_delta_ok;
-    drop(ranking_scope);
-    let run = match chosen {
-        Some(prefer) => scheduler.schedule_delta_keyed_with_slack(
-            scene.arch,
-            &[spec],
-            base,
-            patch_hint.then_some(vars_scratch.as_slice()),
-            fp,
-            Some(prefer),
-        ),
-        None => scheduler.schedule_keyed_with_slack(scene.arch, &[spec], base, fp),
+    // bookkeeping, a candidate within `DELTA_MAX_CHANGED_VARS` of the
+    // live solution takes the hinted delta path (arena patch plus
+    // live-record splice). Everything else (short chains, big jumps,
+    // `with_full_evaluation`) resets from the base.
+    let gate_scope = phase::scope(Phase::Splice);
+    let delta = !full_engine
+        && counts.raw_schedules >= DELTA_MIN_CHAIN
+        && live_key
+            .as_ref()
+            .is_some_and(|live| collect_key_delta(live, key, DELTA_MAX_CHANGED_VARS, vars_scratch));
+    drop(gate_scope);
+    let run = if delta {
+        scheduler.schedule_delta_hinted_with_slack(scene.arch, &[spec], base, vars_scratch)
+    } else {
+        scheduler.schedule_with_slack(scene.arch, &[spec], base)
     };
-    // Successful or not, the engine's live record now describes
-    // this solution (failed runs keep their completed prefix as a
-    // splice source), so future candidates diff against it. The
-    // full-engine tier never consults the list and skips the
-    // bookkeeping.
+    // Successful or not, the engine's live record now describes this
+    // solution (failed runs keep their completed prefix as a splice
+    // source), so future candidates diff against it. The full-engine
+    // tier never consults the key and skips the bookkeeping.
     if !full_engine {
-        // Record-list maintenance (clones the key) is splice-plane
-        // bookkeeping too.
         let _bookkeeping_scope = phase::scope(Phase::Splice);
-        note_raw_schedule(recent, fp, key, chosen);
+        match live_key {
+            Some(live) => live.clone_from(key),
+            None => *live_key = Some(key.clone()),
+        }
     }
     let (table, slack) = run?;
     // C2 terms: gap lists aliased from the frozen base (untouched
@@ -909,21 +782,19 @@ fn engine_evaluate_raw(
 
 /// A batch worker's evaluation: the full (splice-free) path against the
 /// shared frozen base, no memo, no record bookkeeping. Every call costs
-/// exactly one raw schedule and zero delta/spliced/replayed steps, so
-/// the batch's counters are a function of the hit/miss pattern alone —
+/// exactly one raw schedule and zero delta/spliced steps, so the
+/// batch's counters are a function of the hit/miss pattern alone —
 /// independent of how candidates were partitioned over threads.
 fn evaluate_shared_full(
     scene: &Scene<'_>,
     base: &Arc<FrozenBase>,
     worker: &mut EvalEngine,
     solution: &Solution,
-    fp: u64,
 ) -> Result<Evaluation, SchedError> {
     let spec = AppSpec::new(scene.app_id, scene.app, &solution.mapping, &solution.hints);
-    let (table, slack) =
-        worker
-            .scheduler
-            .schedule_keyed_with_slack(scene.arch, &[spec], base, fp)?;
+    let (table, slack) = worker
+        .scheduler
+        .schedule_with_slack(scene.arch, &[spec], base)?;
     let cost = score_slack(scene, &mut worker.c2, &mut worker.c1, &slack);
     Ok(Evaluation { table, slack, cost })
 }
@@ -970,7 +841,7 @@ impl<'a> MappingContext<'a> {
         future: &'a FutureProfile,
         weights: &'a Weights,
     ) -> Self {
-        let ctx = MappingContext {
+        MappingContext {
             arch,
             app_id,
             app,
@@ -985,31 +856,7 @@ impl<'a> MappingContext<'a> {
             parallelism: env_parallelism(),
             engine: RefCell::new(EvalEngine::default()),
             workers: RefCell::new(Vec::new()),
-        };
-        // Test/CI hook: `INCDES_RECORD_CACHE_CAP` overrides the
-        // scheduler's record-cache capacity so the differential suites
-        // can force eviction churn (small cap) or disable cached-record
-        // splicing entirely (0) without an API change. Accepted values
-        // are base-10 integers ≥ 0: `0` disables cached-record splicing
-        // entirely, `1..` caps the number of retained run records (the
-        // built-in default is `RECORD_CACHE_CAP` = 4; larger values only
-        // grow memory, never change results). Anything unparsable is
-        // ignored with one warning per process — a silently dropped
-        // override would make a differential run test the wrong
-        // configuration.
-        if let Some(cap) = incdes_obs::diag::env_usize(
-            "INCDES_RECORD_CACHE_CAP",
-            &format!(
-                "expected a non-negative integer (0 disables cached-record splicing; \
-                 the built-in cap is {RECORD_CACHE_CAP})"
-            ),
-        ) {
-            ctx.engine
-                .borrow_mut()
-                .scheduler
-                .set_record_cache_capacity(cap);
         }
-        ctx
     }
 
     /// Sets how this context parallelizes strategy trial evaluation.
@@ -1163,28 +1010,10 @@ impl<'a> MappingContext<'a> {
         self.engine.borrow().scheduler.delta_schedule_count() + self.absorbed.get().delta_schedules
     }
 
-    /// Total placement steps the delta path spliced verbatim from run
-    /// records (diagnostics for benches and tests).
+    /// Total placement steps the delta path spliced verbatim from the
+    /// live run record (diagnostics for benches and tests).
     pub fn spliced_step_count(&self) -> usize {
         self.engine.borrow().scheduler.spliced_step_count() + self.absorbed.get().spliced_steps
-    }
-
-    /// Total placement steps replayed from *cached* records: the part
-    /// of a splice source's prefix the live record did not share.
-    /// Always ≤ [`spliced_step_count`](Self::spliced_step_count); zero
-    /// when every delta spliced from the live record.
-    pub fn replayed_step_count(&self) -> usize {
-        self.engine.borrow().scheduler.replayed_step_count() + self.absorbed.get().replayed_steps
-    }
-
-    /// Caps the scheduler's record cache (test hook: a small cap forces
-    /// eviction churn; `0` disables cached-record splicing entirely,
-    /// falling back to live-record-only deltas).
-    pub fn set_record_cache_capacity(&self, cap: usize) {
-        self.engine
-            .borrow_mut()
-            .scheduler
-            .set_record_cache_capacity(cap);
     }
 
     /// Evaluates a whole candidate batch, honoring this context's
@@ -1326,11 +1155,7 @@ impl<'a> MappingContext<'a> {
                 }
                 Ok(base) => {
                     let base = Arc::clone(base);
-                    let jobs: Vec<(usize, u64)> = misses
-                        .iter()
-                        .filter(|m| m.run)
-                        .map(|m| (m.idx, m.fp))
-                        .collect();
+                    let jobs: Vec<usize> = misses.iter().filter(|m| m.run).map(|m| m.idx).collect();
                     counts.raw_schedules += jobs.len();
                     let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
                     let worker_count = batch_worker_count(threads, jobs.len(), batch_cutover, hw);
@@ -1345,11 +1170,8 @@ impl<'a> MappingContext<'a> {
                     {
                         let eng = &mut engines[0];
                         jobs.iter()
-                            .map(|&(idx, fp)| {
-                                (
-                                    idx,
-                                    evaluate_shared_full(&scene, &base, eng, &trials[idx], fp),
-                                )
+                            .map(|&idx| {
+                                (idx, evaluate_shared_full(&scene, &base, eng, &trials[idx]))
                             })
                             .collect()
                     } else {
@@ -1365,7 +1187,7 @@ impl<'a> MappingContext<'a> {
                                         let mut produced = Vec::new();
                                         let mut k = w;
                                         while k < jobs.len() {
-                                            let (idx, fp) = jobs[k];
+                                            let idx = jobs[k];
                                             produced.push((
                                                 idx,
                                                 evaluate_shared_full(
@@ -1373,7 +1195,6 @@ impl<'a> MappingContext<'a> {
                                                     base,
                                                     &mut eng,
                                                     &trials[idx],
-                                                    fp,
                                                 ),
                                             ));
                                             k += worker_count;
@@ -1490,7 +1311,6 @@ impl<'a> MappingContext<'a> {
             counts.memo_hits += c.counts.memo_hits;
             diag.delta_schedules += c.engine.scheduler.delta_schedule_count();
             diag.spliced_steps += c.engine.scheduler.spliced_step_count();
-            diag.replayed_steps += c.engine.scheduler.replayed_step_count();
         }
         self.counts.set(counts);
         self.absorbed.set(diag);
@@ -1498,7 +1318,7 @@ impl<'a> MappingContext<'a> {
 }
 
 /// A private evaluation lane for one SA portfolio chain: its own engine
-/// (scheduler + record cache + memo + objective caches, delta splicing
+/// (scheduler + live key + memo + objective caches, delta splicing
 /// enabled) sharing the scenario's `Arc<FrozenBase>`, plus its own
 /// counters. `ChainCtx` is `Send`, so chain segments execute on scoped
 /// worker threads; the owning context absorbs the counters afterwards
@@ -1668,9 +1488,8 @@ mod tests {
         assert!(err.is_infeasible());
     }
 
-    // `INCDES_RECORD_CACHE_CAP` / `INCDES_SEARCH_THREADS` parsing is
-    // covered by the unit tests of `incdes_obs::diag`, which both
-    // overrides now share.
+    // `INCDES_SEARCH_THREADS` parsing is covered by the unit tests of
+    // `incdes_obs::diag`.
 
     #[test]
     fn batch_worker_count_rule() {
@@ -1711,7 +1530,7 @@ mod tests {
     }
 
     #[test]
-    fn memo_eviction_retains_recent_record_keys() {
+    fn memo_eviction_drops_the_stale_half_and_keeps_delta_engaged() {
         let arch = arch2();
         let app = one_proc_app();
         let future = FutureProfile::slide_example();
@@ -1731,26 +1550,68 @@ mod tests {
         let base = Solution::from_mapping(mapping);
         let sol =
             |gap: u32| base.with_move(&crate::solution::Move::ProcSlack { proc_ref: pr, gap });
+        let key_of = |gap: u32| {
+            let mut key = MemoKey::default();
+            key.assign(&sol(gap));
+            (fingerprint(&key), key)
+        };
         // Fill the memo exactly to capacity with distinct solutions
-        // (stamps 1..=MEMO_CAP); the record cache ends up naming the
-        // last RECORD_CACHE_CAP of them.
-        for gap in 0..MEMO_CAP as u32 {
+        // (stamps 1..=MEMO_CAP), each a one-hint neighbor of the last.
+        let cap = MEMO_CAP as u32;
+        for gap in 0..cap {
             let _ = ctx.evaluate(&sol(gap));
         }
-        // Freshen an old prefix so the "stale half" cutoff lands above
-        // the stamps of the solutions the record cache still names.
+        // Freshen an old prefix: these hits restamp gaps 0..300 above
+        // every fill stamp.
         for gap in 0..300u32 {
             let _ = ctx.evaluate(&sol(gap));
         }
+        let stamps: Vec<u64> = {
+            let mut engine = ctx.engine.borrow_mut();
+            (0..cap)
+                .map(|gap| {
+                    let (fp, key) = key_of(gap);
+                    engine.memo.get_mut(fp, &key).expect("memo is full").stamp
+                })
+                .collect()
+        };
+        let mut sorted = stamps.clone();
+        sorted.sort_unstable();
+        let cutoff = sorted[sorted.len() / 2];
+
         // One more distinct solution triggers eviction on its miss.
-        let _ = ctx.evaluate(&sol(MEMO_CAP as u32));
-        let engine = ctx.engine.borrow();
-        assert!(!engine.recent.is_empty());
-        for (fp, key) in &engine.recent {
-            assert!(
-                engine.memo.contains(*fp, key),
-                "record-cache fingerprint {fp:#x} names an evicted memo key"
-            );
+        let before = counters::snapshot();
+        let _ = ctx.evaluate(&sol(cap));
+        let evicted = counters::snapshot()
+            .delta_since(&before)
+            .get(Counter::MemoEvictions);
+        // The stale fills of gaps 300.. (212 entries) plus the 45
+        // oldest freshened entries sit at or below the median stamp.
+        assert_eq!(evicted, 257);
+        {
+            let engine = ctx.engine.borrow();
+            for (gap, &stamp) in (0..cap).zip(&stamps) {
+                let (fp, key) = key_of(gap);
+                assert_eq!(
+                    engine.memo.contains(fp, &key),
+                    stamp > cutoff,
+                    "gap {gap}: stamp {stamp}, cutoff {cutoff}"
+                );
+            }
+            let (fp, key) = key_of(cap);
+            assert!(engine.memo.contains(fp, &key), "the trigger is inserted");
+            assert_eq!(engine.memo.len(), MEMO_CAP + 1 - evicted as usize);
         }
+
+        // The evicted predecessor is one hint away from the live
+        // solution: a memo miss that still takes the hinted delta path,
+        // since the live key is kept outside the memo.
+        let deltas = ctx.delta_schedule_count();
+        let before = counters::snapshot();
+        let _ = ctx.evaluate(&sol(cap - 1));
+        let d = counters::snapshot().delta_since(&before);
+        assert_eq!(d.get(Counter::MemoHits), 0, "its entry was evicted");
+        assert_eq!(d.get(Counter::ArenaPatched), 1);
+        assert_eq!(ctx.delta_schedule_count(), deltas + 1);
     }
 }

@@ -44,22 +44,14 @@ macro_rules! counters {
 }
 
 counters! {
-    /// Placement steps reused verbatim from a run record (live or cached).
+    /// Placement steps reused verbatim from the live run record.
     SpliceStepsSpliced => "splice_steps_spliced",
     /// Live-record suffix steps unwound in place by a delta run.
     SpliceStepsUndone => "splice_steps_undone",
-    /// Source-prefix steps replayed into the timelines (rebase or cached splice).
+    /// Prefix steps replayed into the timelines after a rebase.
     SpliceStepsReplayed => "splice_steps_replayed",
     /// Delta runs that bulk-reset from the baked base instead of undoing.
     DeltaRebases => "delta_rebases",
-    /// Preferred-predecessor fingerprints served from the record cache.
-    RecordCacheHits => "record_cache_hits",
-    /// Live records snapshotted into the record cache.
-    RecordCachePromotions => "record_cache_promotions",
-    /// Record-cache entries evicted (LRU or capacity shrink).
-    RecordCacheEvictions => "record_cache_evictions",
-    /// Preferred fingerprints not in the cache — fell back to the live record.
-    RecordCacheFallbacks => "record_cache_fallbacks",
     /// Evaluations answered from the solution memo.
     MemoHits => "memo_hits",
     /// Evaluations inserted into the solution memo.

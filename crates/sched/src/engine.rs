@@ -62,33 +62,25 @@
 //! which still skips the O(frozen) timeline reset by undoing the
 //! previous run's placements instead.
 //!
-//! # The record cache
+//! # The live record
 //!
-//! One live record only splices well along *chains* — it describes the
-//! previous run, which the MH/SA trial loops keep abandoning: trials
-//! T1, T2, T3 all neighbor the same pivot P, yet T2 would diff against
-//! T1 (two moves apart) instead of P (one move). The engine therefore
-//! keeps a small cache of retired records keyed by a 64-bit solution
-//! fingerprint (the same FxHash key the mapping memo uses). Records
-//! enter it by *promotion on demand*: the first run that names the live
-//! solution as its preferred predecessor snapshots the live record into
-//! the cache before replacing it — so pivots get cached the moment they
-//! are revealed as pivots, while straight-line mutation chains (which
-//! never look back) promote at most a couple of records before the
-//! throttle stops cloning. The caller ranks the cached solutions by
-//! variable diff and passes the winner's fingerprint as `prefer`; an
-//! A→B→A revisit thus splices from A's own record at distance zero even
-//! though B ran in between. Splicing from a cached record undoes the
-//! live run only down to the common prefix of the two records and
-//! *replays* the cached prefix beyond it — an exact reproduction, by
-//! induction over the shared prefix. When the undo would walk nearly
-//! the whole live record (early divergence — the typical remap, whose
-//! priority re-weighting dirties the graph's ancestor cone), the engine
-//! instead **rebases**: a bulk timeline reset from the baked base plus
-//! a replay of the whole source prefix, priced against the undo walk.
-//! Eviction is LRU by splice-use stamp; capacity is
-//! [`Scheduler::set_record_cache_capacity`] (0 disables cached-record
-//! splicing entirely, leaving single-record delta scheduling).
+//! The engine keeps exactly one record: the *live* one, describing the
+//! previous run, whose placements the live timelines hold. Every delta
+//! run splices from it, so an MH/SA trial diffs against the solution
+//! evaluated just before it (one move away along a chain, two when a
+//! rejected trial of the same pivot sits in between). The run brings
+//! the timelines to `base + live[0..div)` in one of two ways, chosen
+//! per run by a cost model over the record length, the divergence
+//! step and the base size:
+//!
+//! * **undo** — unwind the live suffix in place, cheap when the
+//!   divergence is late (hint toggles, moves of late-popping jobs);
+//! * **rebase** — a bulk timeline reset from the baked base plus a
+//!   replay of the prefix, cheap when the divergence is early and the
+//!   undo would walk nearly the whole record (the typical remap, whose
+//!   priority re-weighting dirties the moved node's ancestor cone).
+//!
+//! Both leave identical timelines, so the choice never shows in results.
 //!
 //! The slack profiles returned by every path are `Arc`-backed
 //! ([`SlackProfile::from_shared`]): untouched PEs alias the frozen
@@ -488,13 +480,10 @@ struct StepRec {
 }
 
 /// The record of one run: everything delta scheduling needs to splice
-/// an unchanged prefix and undo the changed suffix. The *live* record
+/// an unchanged prefix and undo the changed suffix. The live record
 /// carries the standing invariant — established on every run and voided
 /// by dropping it — that the scheduler's live timelines hold exactly
-/// `base(base_id) + every recorded placement`. Cached records carry no
-/// timeline invariant: they describe the run that produced them, and
-/// splicing from one replays the part of its prefix the live record
-/// does not share.
+/// `base(base_id) + every recorded placement`.
 #[derive(Debug)]
 struct RunRecord {
     /// [`FrozenBase::generation`] the run was made against.
@@ -521,23 +510,6 @@ struct RunRecord {
     bus_arc: Option<GapList>,
 }
 
-impl Clone for RunRecord {
-    fn clone(&self) -> Self {
-        RunRecord {
-            base_id: self.base_id,
-            steps: self.steps.clone(),
-            msgs: self.msgs.clone(),
-            pop_step: self.pop_step.clone(),
-            push_step: self.push_step.clone(),
-            snap: self.snap.clone(),
-            edge_hints: self.edge_hints.clone(),
-            arena: Arc::clone(&self.arena),
-            gap_arcs: self.gap_arcs.clone(),
-            bus_arc: self.bus_arc.clone(),
-        }
-    }
-}
-
 impl RunRecord {
     /// An empty record carrying no placements — only its allocations
     /// matter, every field is refilled before use.
@@ -555,48 +527,6 @@ impl RunRecord {
             bus_arc: None,
         }
     }
-}
-
-/// Default capacity of the fingerprint-keyed record cache (the live
-/// record is tracked separately and does not count against it). Sized
-/// for the search loops' working set: one pivot plus the last few
-/// trials; anything older is almost never the closest predecessor.
-pub const RECORD_CACHE_CAP: usize = 4;
-
-/// One fingerprint-keyed record of a successful run.
-#[derive(Debug)]
-struct CacheEntry {
-    /// Solution fingerprint the caller stored the run under.
-    fp: u64,
-    /// LRU stamp (bumped on store and on use as a splice source).
-    stamp: u64,
-    rec: RunRecord,
-}
-
-/// Length of the shared placement prefix of two records: the leading
-/// steps that placed the same job at the same time on the same PE and
-/// emitted the same messages. Splicing from a cached record undoes the
-/// live record only down to this point — the shared prefix is already
-/// in the live timelines.
-fn common_prefix_len(a: &RunRecord, b: &RunRecord) -> usize {
-    let max = a.steps.len().min(b.steps.len());
-    let mut i = 0;
-    while i < max {
-        let (sa, sb) = (a.steps[i], b.steps[i]);
-        if sa.job != sb.job
-            || sa.start != sb.start
-            || sa.end != sb.end
-            || sa.msg_lo != sb.msg_lo
-            || sa.msg_hi != sb.msg_hi
-            || a.snap[sa.job as usize].pe != b.snap[sb.job as usize].pe
-            || a.msgs[sa.msg_lo as usize..sa.msg_hi as usize]
-                != b.msgs[sb.msg_lo as usize..sb.msg_hi as usize]
-        {
-            break;
-        }
-        i += 1;
-    }
-    i
 }
 
 /// Bus time the current run added per slot occurrence, as a sorted
@@ -697,31 +627,14 @@ pub struct Scheduler {
     /// Bus time the last run added per slot occurrence.
     new_bus: BusDelta,
     /// Record describing the live timelines (`timelines = base + live
-    /// placements`) — the default splice source.
+    /// placements`) — the splice source of the next delta run.
     live: Option<RunRecord>,
-    /// Solution fingerprint of `live`, when the caller supplied one.
-    live_fp: Option<u64>,
-    /// Fingerprint-keyed records of recent successful runs, the splice
-    /// sources for revisit chains (A→B→A splices from A's own record
-    /// instead of everything B touched).
-    cache: Vec<CacheEntry>,
-    /// Record-cache capacity override (`None` = [`RECORD_CACHE_CAP`]).
-    cache_cap: Option<usize>,
-    /// Retired record whose allocations seed the next delta run's
-    /// scratch. Promotion moves the whole live record into the cache
-    /// (no clone); the displaced entry's record lands here, so the
-    /// steady state recycles allocations in a closed loop.
+    /// Retired live record whose allocations seed the next delta run's
+    /// record: the delta path reads the live record until the run
+    /// ends, so the two records alternate and the steady state
+    /// allocates nothing.
     spare: Option<RunRecord>,
-    /// LRU clock for `cache`.
-    cache_clock: u64,
-    /// Promotions since the cache was last probed. Chain-shaped runs
-    /// (every candidate's predecessor is the live record) would
-    /// otherwise snapshot a record per run that nothing ever splices
-    /// from; after two unprobed promotions the throttle closes, and
-    /// any probe — hit or miss — reopens it (a miss is the demand
-    /// signal that a pivot should have been kept).
-    unprobed_promotions: u32,
-    /// Scratch: which jobs the prefix replay already popped.
+    /// Scratch: which jobs the prefix splice already popped.
     popped: Vec<bool>,
     /// Scratch: the current run's jobs/messages in table order.
     cur_jobs: Vec<ScheduledJob>,
@@ -751,8 +664,6 @@ pub struct Scheduler {
     raw_schedules: usize,
     delta_schedules: usize,
     spliced_steps: usize,
-    replayed_steps: usize,
-    rebased_runs: usize,
     fresh_gap_lists: usize,
 }
 
@@ -785,54 +696,10 @@ impl Scheduler {
         self.delta_schedules
     }
 
-    /// Total placement steps spliced verbatim from run records across
-    /// all delta runs (diagnostics for tests and benches).
+    /// Total placement steps spliced verbatim from the live record
+    /// across all delta runs (diagnostics for tests and benches).
     pub fn spliced_step_count(&self) -> usize {
         self.spliced_steps
-    }
-
-    /// Total placement steps *replayed* from cached records into the
-    /// live timelines: when a delta run splices from a cached record,
-    /// the part of its prefix the live record does not share is
-    /// re-reserved placement by placement (an exact reproduction — the
-    /// frame state at the replay point equals the recorded run's).
-    /// Always ≤ [`spliced_step_count`](Self::spliced_step_count).
-    pub fn replayed_step_count(&self) -> usize {
-        self.replayed_steps
-    }
-
-    /// Number of delta runs that *rebased*: reset the timelines from
-    /// the baked base and replayed the whole source prefix instead of
-    /// undoing the live suffix in place. Chosen per run by a cost
-    /// model — an early divergence makes the in-place undo walk nearly
-    /// the entire live record while the reset is a bulk copy.
-    pub fn rebase_count(&self) -> usize {
-        self.rebased_runs
-    }
-
-    /// Number of fingerprint-keyed records currently cached.
-    pub fn record_cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Overrides the record-cache capacity (default
-    /// [`RECORD_CACHE_CAP`]); `0` disables fingerprint-keyed caching
-    /// entirely. Shrinking evicts least-recently-used entries
-    /// immediately. Exposed so the differential fuzz suite can force
-    /// eviction churn.
-    pub fn set_record_cache_capacity(&mut self, cap: usize) {
-        self.cache_cap = Some(cap);
-        while self.cache.len() > cap {
-            counters::bump(Counter::RecordCacheEvictions);
-            let idx = self
-                .cache
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(i, _)| i)
-                .expect("cache is non-empty");
-            self.cache.swap_remove(idx);
-        }
     }
 
     /// Test probe: how many gap-list vectors the most recent slack
@@ -874,7 +741,7 @@ impl Scheduler {
         apps: &[AppSpec<'_>],
         base: &FrozenBase,
     ) -> Result<ScheduleTable, SchedError> {
-        self.run(arch, apps, base, false, None, None, None)
+        self.run(arch, apps, base, false, None)
     }
 
     /// Like [`schedule`](Self::schedule) but also derives the slack
@@ -892,63 +759,7 @@ impl Scheduler {
         apps: &[AppSpec<'_>],
         base: &FrozenBase,
     ) -> Result<(ScheduleTable, SlackProfile), SchedError> {
-        let table = self.run(arch, apps, base, false, None, None, None)?;
-        let slack = self.slack_profile(base);
-        Ok((table, slack))
-    }
-
-    /// [`schedule_with_slack`](Self::schedule_with_slack) that also
-    /// labels the run's live placement record with `fingerprint`. This
-    /// is the full-path half of the keyed API: early chain links get a
-    /// name — so a later delta call can claim one as its predecessor
-    /// via `prefer`, promoting it into the record cache — without
-    /// engaging the splice machinery themselves (which cannot amortize
-    /// on short chains).
-    ///
-    /// # Errors
-    ///
-    /// As [`crate::schedule`].
-    pub fn schedule_keyed_with_slack(
-        &mut self,
-        arch: &Architecture,
-        apps: &[AppSpec<'_>],
-        base: &FrozenBase,
-        fingerprint: u64,
-    ) -> Result<(ScheduleTable, SlackProfile), SchedError> {
-        let table = self.run(arch, apps, base, false, None, Some(fingerprint), None)?;
-        let slack = self.slack_profile(base);
-        Ok((table, slack))
-    }
-
-    /// The record-cache delta entry point:
-    /// [`schedule_delta_hinted_with_slack`](Self::schedule_delta_hinted_with_slack)
-    /// semantics (with `changed` optional — `None` forces a full
-    /// re-expansion but still splices), plus fingerprint-keyed record
-    /// selection. `prefer` names the fingerprint of the cached record to
-    /// splice from — normally the recorded solution with the smallest
-    /// design-variable diff against the candidate, as computed by the
-    /// caller over its sorted solution keys. When `prefer` is absent,
-    /// names the live record (which promotes that record into the
-    /// cache — the demand signal), or matches nothing applicable, the
-    /// live record is spliced as usual. The run's own record becomes
-    /// the live record labeled `fingerprint`, cached only if a later
-    /// run claims it. Any `prefer` value is safe: records are
-    /// never trusted beyond the per-job divergence analysis, so a stale
-    /// or colliding fingerprint costs performance, never correctness.
-    ///
-    /// # Errors
-    ///
-    /// As [`crate::schedule`].
-    pub fn schedule_delta_keyed_with_slack(
-        &mut self,
-        arch: &Architecture,
-        apps: &[AppSpec<'_>],
-        base: &FrozenBase,
-        changed: Option<&[ChangedVar]>,
-        fingerprint: u64,
-        prefer: Option<u64>,
-    ) -> Result<(ScheduleTable, SlackProfile), SchedError> {
-        let table = self.run(arch, apps, base, true, changed, Some(fingerprint), prefer)?;
+        let table = self.run(arch, apps, base, false, None)?;
         let slack = self.slack_profile(base);
         Ok((table, slack))
     }
@@ -969,7 +780,7 @@ impl Scheduler {
         apps: &[AppSpec<'_>],
         base: &FrozenBase,
     ) -> Result<(ScheduleTable, SlackProfile), SchedError> {
-        let table = self.run(arch, apps, base, true, None, None, None)?;
+        let table = self.run(arch, apps, base, true, None)?;
         let slack = self.slack_profile(base);
         Ok((table, slack))
     }
@@ -986,7 +797,7 @@ impl Scheduler {
         apps: &[AppSpec<'_>],
         base: &FrozenBase,
     ) -> Result<ScheduleTable, SchedError> {
-        self.run(arch, apps, base, true, None, None, None)
+        self.run(arch, apps, base, true, None)
     }
 
     /// [`schedule_delta_with_slack`](Self::schedule_delta_with_slack)
@@ -1010,12 +821,11 @@ impl Scheduler {
         base: &FrozenBase,
         changed: &[ChangedVar],
     ) -> Result<(ScheduleTable, SlackProfile), SchedError> {
-        let table = self.run(arch, apps, base, true, Some(changed), None, None)?;
+        let table = self.run(arch, apps, base, true, Some(changed))?;
         let slack = self.slack_profile(base);
         Ok((table, slack))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn run(
         &mut self,
         arch: &Architecture,
@@ -1023,8 +833,6 @@ impl Scheduler {
         base: &FrozenBase,
         try_delta: bool,
         changed: Option<&[ChangedVar]>,
-        fingerprint: Option<u64>,
-        prefer: Option<u64>,
     ) -> Result<ScheduleTable, SchedError> {
         check_horizon(apps, base.horizon)?;
         debug_assert_eq!(arch.pe_count(), base.pes.len(), "base built for this arch");
@@ -1032,14 +840,8 @@ impl Scheduler {
         self.last_run_delta = false;
         self.prev_gap_arcs = None;
         self.prev_bus_arc = None;
-        // Generation guard: a rebaked base (ids are unique per bake)
-        // invalidates cached records wholesale, so a `FrozenBase` rebake
-        // upstream never leaves stale records pinning dead bakes alive.
-        if self.cache.iter().any(|e| e.rec.base_id != base.id) {
-            self.cache.retain(|e| e.rec.base_id == base.id);
-        }
-        let source = {
-            // Expansion and source selection count as splice work: they
+        let splice = {
+            // Expansion and the record check count as splice work: they
             // are the delta machinery's front-end regardless of path.
             let _splice = phase::scope(Phase::Splice);
             let patched = match changed {
@@ -1052,89 +854,20 @@ impl Scheduler {
                 self.expand(arch, apps, base.horizon)?;
                 counters::bump(Counter::ArenaExpansions);
             }
-            if try_delta {
-                self.take_splice_source(base, prefer)
-            } else {
-                None
-            }
+            // The live record must apply — it is what the undo unwinds
+            // — or the run falls back to the full path.
+            try_delta
+                && self
+                    .live
+                    .as_ref()
+                    .is_some_and(|rec| self.record_applicable(rec, base))
         };
-        let result = match source {
-            Some((live, cached, promote)) => {
-                self.run_delta(arch, apps, base, live, cached, promote)
-            }
-            None => {
-                // A stale record cannot splice, but its allocations are
-                // recycled into the new one.
-                let old = self.live.take();
-                self.run_full(arch, apps, base, old)
-            }
-        };
-        // The live record now describes this candidate. Records enter
-        // the fingerprint-keyed cache by *promotion* — the first trial
-        // that names the live record as its predecessor moves it into
-        // the cache whole once the run that replaces it completes — so
-        // promotion never clones, and runs never spliced from again
-        // (the common case: rejected trials) cost nothing at all.
-        self.live_fp = fingerprint;
-        result
-    }
-
-    /// Chooses the splice sources for a delta run. The live record must
-    /// apply — it is what the undo unwinds — or the run falls back to
-    /// the full path. When the caller prefers a cached record of a
-    /// different solution and it applies too, it is pulled from the
-    /// cache (returned to it after the run) so the run can splice the
-    /// cached prefix instead of the live one.
-    fn take_splice_source(
-        &mut self,
-        base: &FrozenBase,
-        prefer: Option<u64>,
-    ) -> Option<(RunRecord, Option<CacheEntry>, bool)> {
-        if !self
-            .live
-            .as_ref()
-            .is_some_and(|rec| self.record_applicable(rec, base))
-        {
-            return None;
+        match self.live.take() {
+            Some(live) if splice => self.run_delta(arch, apps, base, live),
+            // A stale record cannot splice, but its allocations are
+            // recycled into the new one.
+            old => self.run_full(arch, apps, base, old),
         }
-        let mut promote = false;
-        let cached = prefer.and_then(|fp| {
-            if self.live_fp == Some(fp) {
-                // The preferred predecessor IS the live record: splice
-                // from it directly, and promote it into the cache —
-                // being named as a predecessor marks it as a pivot
-                // later trials will want to splice from after the live
-                // record moves on to this candidate. The promotion is
-                // a *move* after the run (the record survives the run
-                // intact), so it costs no clone; the throttle keeps
-                // chain-shaped runs from flooding the cache anyway.
-                if self.unprobed_promotions < 2 {
-                    promote = true;
-                    self.unprobed_promotions += 1;
-                }
-                return None;
-            }
-            self.unprobed_promotions = 0;
-            let idx = match self
-                .cache
-                .iter()
-                .position(|e| e.fp == fp && self.record_applicable(&e.rec, base))
-            {
-                Some(idx) => idx,
-                None => {
-                    // Evicted or never promoted: the live record still
-                    // applies, so the run silently splices from it.
-                    counters::bump(Counter::RecordCacheFallbacks);
-                    return None;
-                }
-            };
-            counters::bump(Counter::RecordCacheHits);
-            let mut entry = self.cache.swap_remove(idx);
-            self.cache_clock += 1;
-            entry.stamp = self.cache_clock;
-            Some(entry)
-        });
-        Some((self.live.take().expect("checked above"), cached, promote))
     }
 
     /// Whether `rec` can seed a delta run on `base` with the *current*
@@ -1149,45 +882,6 @@ impl Scheduler {
         rec.base_id == base.id
             && rec.snap.len() == self.jobs.len()
             && Arc::ptr_eq(&rec.arena, &self.arena_tag)
-    }
-
-    /// Moves a retired record into the fingerprint-keyed cache under
-    /// `fp` — no clone; the displaced entry's record (if any) becomes
-    /// the spare that seeds the next run's scratch. Slack arcs are not
-    /// cached — only the live record's arcs seed the next profile
-    /// derivation (the caller already took them).
-    fn cache_insert_move(&mut self, fp: u64, mut rec: RunRecord) {
-        let cap = self.cache_cap.unwrap_or(RECORD_CACHE_CAP);
-        if cap == 0 {
-            self.spare = Some(rec);
-            return;
-        }
-        debug_assert!(rec.gap_arcs.is_none() && rec.bus_arc.is_none());
-        counters::bump(Counter::RecordCachePromotions);
-        self.cache_clock += 1;
-        let stamp = self.cache_clock;
-        rec.gap_arcs = None;
-        rec.bus_arc = None;
-        if let Some(entry) = self.cache.iter_mut().find(|e| e.fp == fp) {
-            entry.stamp = stamp;
-            self.spare = Some(std::mem::replace(&mut entry.rec, rec));
-        } else if self.cache.len() >= cap {
-            // Evict the least recently used entry, retiring its record.
-            counters::bump(Counter::RecordCacheEvictions);
-            let idx = self
-                .cache
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(i, _)| i)
-                .expect("cache is non-empty");
-            let entry = &mut self.cache[idx];
-            entry.fp = fp;
-            entry.stamp = stamp;
-            self.spare = Some(std::mem::replace(&mut entry.rec, rec));
-        } else {
-            self.cache.push(CacheEntry { fp, stamp, rec });
-        }
     }
 
     /// Expands `apps` into the job arena (priorities served from the
@@ -1635,67 +1329,53 @@ impl Scheduler {
         Ok(table.expect("run succeeded"))
     }
 
-    /// The delta path: the splice source (`cached` if present, else
-    /// `live`) applies to the current expansion, and the live timelines
-    /// hold exactly `base + live placements`. When splicing from a
-    /// cached record the undo stops at the common prefix of the two
-    /// records and the cached prefix beyond it is *replayed* into the
-    /// timelines — an exact reproduction, because the timeline and
+    /// The delta path: the live record applies to the current
+    /// expansion, and the live timelines hold exactly `base + live
+    /// placements`. The record's prefix up to the divergence step is
+    /// spliced; the timelines are brought to that prefix by undoing the
+    /// live suffix in place or, when that walk is the dearer one, by a
+    /// rebase — a bulk reset from the baked base plus a replay of the
+    /// prefix, an exact reproduction because the timeline and
     /// frame-tail state at every replayed step equals the recorded
-    /// run's state at that step by induction over the shared prefix.
+    /// run's state at that step.
     fn run_delta(
         &mut self,
         arch: &Architecture,
         apps: &[AppSpec<'_>],
         base: &FrozenBase,
         mut live: RunRecord,
-        cached: Option<CacheEntry>,
-        promote: bool,
     ) -> Result<ScheduleTable, SchedError> {
         let n = self.jobs.len();
-        let (div, keep) = {
+        let div = {
             let _splice = phase::scope(Phase::Splice);
-            let src = cached.as_ref().map_or(&live, |e| &e.rec);
-            let div = self.divergence(apps, src);
-            let keep = match cached.as_ref() {
-                Some(e) => div.min(common_prefix_len(&live, &e.rec)),
-                None => div,
-            };
-            (div, keep)
+            self.divergence(apps, &live)
         };
-        // Two ways to bring the timelines to `base + src[0..div)`:
-        // unwind the live suffix in place (cheap when the live run
-        // shares a long prefix with the source, as in raw mutation
-        // streams), or reset from the baked base — a bulk copy — and
-        // replay the whole source prefix (cheap when the divergence is
-        // early and the undo would walk nearly the entire live
+        // Two ways to bring the timelines to `base + live[0..div)`:
+        // unwind the live suffix in place (cheap when the divergence is
+        // late, as in raw mutation streams), or reset from the baked
+        // base — a bulk copy — and replay the prefix (cheap when the
+        // divergence is early and the undo would walk nearly the entire
         // record, as in pivot/trial neighborhoods where a remap
-        // re-weights the whole graph's priorities). The reset is
-        // priced at a fraction of the per-step splice-out cost.
-        let rebase = live.steps.len() - keep > keep + base.jobs.len() / 16 + 2;
+        // re-weights the whole graph's priorities). The reset is priced
+        // at a fraction of the per-step splice-out cost.
+        let rebase = live.steps.len() - div > div + base.jobs.len() / 16 + 2;
         self.delta_schedules += 1;
         self.spliced_steps += div;
-        self.replayed_steps += if rebase { div } else { div - keep };
         if rebase {
-            self.rebased_runs += 1;
             counters::bump(Counter::DeltaRebases);
+            counters::add(Counter::SpliceStepsReplayed, div as u64);
         } else {
-            counters::add(Counter::SpliceStepsUndone, (live.steps.len() - keep) as u64);
+            counters::add(Counter::SpliceStepsUndone, (live.steps.len() - div) as u64);
         }
         counters::add(Counter::SpliceStepsSpliced, div as u64);
-        counters::add(
-            Counter::SpliceStepsReplayed,
-            (if rebase { div } else { div - keep }) as u64,
-        );
         self.last_run_delta = true;
         self.prev_gap_arcs = live.gap_arcs.take();
         self.prev_bus_arc = live.bus_arc.take();
 
-        // Scratch recycled from the spare record (retired by an earlier
-        // promotion or run); its vectors become the carcass
-        // `store_record` refills below. The live record survives the
-        // run intact: it is the undo source, and a promotion moves it
-        // into the cache whole instead of cloning it.
+        // Scratch recycled from the spare record (the live record
+        // retired by the previous delta run); its vectors become the
+        // carcass `store_record` refills below. The live record
+        // survives the run intact: it is the undo and splice source.
         let mut spare = self
             .spare
             .take()
@@ -1727,12 +1407,6 @@ impl Scheduler {
         changed_pe.resize(pes.len(), false);
         *changed_bus = false;
 
-        let (src_steps, src_msgs, src_snap): (&[StepRec], &[ScheduledMessage], &[JobSnap]) =
-            match cached.as_ref() {
-                Some(e) => (&e.rec.steps, &e.rec.msgs, &e.rec.snap),
-                None => (&live.steps, &live.msgs, &live.snap),
-            };
-
         let replay_from = {
             let _undo = phase::scope(Phase::Undo);
             if rebase {
@@ -1754,7 +1428,7 @@ impl Scheduler {
             } else {
                 // --- Undo the live suffix (reverse order, frame tails
                 // unwind)
-                for step in live.steps[keep..].iter().rev() {
+                for step in live.steps[div..].iter().rev() {
                     for m in live.msgs[step.msg_lo as usize..step.msg_hi as usize]
                         .iter()
                         .rev()
@@ -1766,21 +1440,21 @@ impl Scheduler {
                     pes[pe.index()].unreserve(step.start, step.end);
                     changed_pe[pe.index()] = true;
                 }
-                keep
+                div
             }
         };
         let splice_scope = phase::scope(Phase::Splice);
 
-        // --- Replay the source prefix the timelines do not hold ----------
-        // (an in-place undo from the live source leaves `replay_from ==
-        // keep == div` and the range is empty)
-        for step in &src_steps[replay_from..div] {
-            let pe = src_snap[step.job as usize].pe;
+        // --- Replay the prefix after a rebase -----------------------------
+        // (an in-place undo leaves `replay_from == div` and the range is
+        // empty)
+        for step in &live.steps[replay_from..div] {
+            let pe = live.snap[step.job as usize].pe;
             pes[pe.index()]
                 .reserve(step.start, step.end)
                 .expect("replayed placement fits its recorded interval");
             changed_pe[pe.index()] = true;
-            for m in &src_msgs[step.msg_lo as usize..step.msg_hi as usize] {
+            for m in &live.msgs[step.msg_lo as usize..step.msg_hi as usize] {
                 let r = bus
                     .reserve_in_occurrence(
                         m.reservation.owner,
@@ -1798,10 +1472,10 @@ impl Scheduler {
         let prefix_msg_count = if div == 0 {
             0
         } else {
-            src_steps[div - 1].msg_hi as usize
+            live.steps[div - 1].msg_hi as usize
         };
 
-        // --- Splice the prefix from the source record --------------------
+        // --- Splice the prefix from the live record ----------------------
         touched.clear();
         touched.resize(base.pes.len(), false);
         new_bus.clear();
@@ -1817,10 +1491,10 @@ impl Scheduler {
             }
         }
 
-        for (s, step) in src_steps[..div].iter().enumerate() {
+        for (s, step) in live.steps[..div].iter().enumerate() {
             let idx = step.job as usize;
             let j = &jobs[idx];
-            debug_assert_eq!(j.pe, src_snap[idx].pe, "spliced jobs are clean");
+            debug_assert_eq!(j.pe, live.snap[idx].pe, "spliced jobs are clean");
             touched[j.pe.index()] = true;
             popped[idx] = true;
             pop_step[idx] = s as u32;
@@ -1844,7 +1518,7 @@ impl Scheduler {
                 let data_ready = if jobs[succ_idx].pe == pe {
                     end
                 } else {
-                    let m = src_msgs[cursor];
+                    let m = live.msgs[cursor];
                     cursor += 1;
                     new_bus.add(m.reservation.occurrence, m.reservation.duration());
                     m.reservation.arrival
@@ -1870,14 +1544,13 @@ impl Scheduler {
         counters::add(Counter::HeapPushes, seeded);
 
         // --- Re-place the suffix through the ordinary loop ---------------
-        // The scratch vectors receive the source prefix (the suffix is
-        // appended by the loop below). Always a copy — the source
-        // record survives the run, so the live one can be promoted
-        // into the cache by move.
+        // The scratch vectors receive the live prefix (the suffix is
+        // appended by the loop below) — a copy, since the live record
+        // is retired whole once the run ends.
         steps.clear();
-        steps.extend_from_slice(&src_steps[..div]);
+        steps.extend_from_slice(&live.steps[..div]);
         rec_msgs.clear();
-        rec_msgs.extend_from_slice(&src_msgs[..prefix_msg_count]);
+        rec_msgs.extend_from_slice(&live.msgs[..prefix_msg_count]);
         let before_msgs = rec_msgs.len();
         drop(splice_scope);
 
@@ -1914,26 +1587,12 @@ impl Scheduler {
             .as_ref()
             .ok()
             .map(|()| self.assemble_table(base, &steps, &rec_msgs));
-        // The borrowed cache entry goes back untouched (its stamp was
-        // already bumped when it was chosen).
-        if let Some(entry) = cached {
-            self.cache.push(entry);
-        }
         // Completed steps of a failed run still satisfy the record
         // invariant — see `run_full` for why that matters.
         self.store_record(base, steps, rec_msgs, pop_step, push_step, Some(spare));
-        // Retire the old live record: a promotion moves it into the
-        // cache whole; otherwise its allocations seed the next run's
-        // scratch. Promotion happens even for a failed run — the
-        // record describes the *previous* successful run either way.
-        if promote {
-            let fp = self
-                .live_fp
-                .expect("promotion implies a labeled live record");
-            self.cache_insert_move(fp, live);
-        } else {
-            self.spare = Some(live);
-        }
+        // Retire the old live record: its allocations seed the next
+        // run's record.
+        self.spare = Some(live);
         run?;
         Ok(table.expect("run succeeded"))
     }
@@ -2454,117 +2113,88 @@ mod tests {
         assert_eq!(engine.delta_schedule_count(), assignments.len() - 1);
     }
 
-    /// A→B→A with the keyed API: with the record cache enabled, the
-    /// revisit splices from A's *own* promoted record (every step kept)
-    /// even though B ran in between; with the cache disabled the live
-    /// record describes B — the wrong predecessor — and the remapped
-    /// root invalidates the whole run.
-    #[test]
-    fn record_cache_splices_from_true_predecessor() {
+    /// A→B→A graph shared by the revisit-chain tests: `a` moves from
+    /// PE0 to PE1 between A and B.
+    fn revisit_chain_fixture() -> (Architecture, Application, Mapping, Mapping) {
         let arch = arch2();
         let mut g = ProcessGraph::new("g", t(100), t(100));
         let a = g.add_process(Process::new("a").wcet(PeId(0), t(8)).wcet(PeId(1), t(5)));
         let b = g.add_process(Process::new("b").wcet(PeId(0), t(6)).wcet(PeId(1), t(6)));
         g.add_message(a, b, Message::new("m", 4)).unwrap();
         let app = Application::new("app", vec![g]);
-        let hints = Hints::empty();
-        let base = FrozenBase::empty(&arch, t(100)).unwrap();
-
         let mut map_a = Mapping::new();
         map_a.assign(ProcRef::new(0, a), PeId(0));
         map_a.assign(ProcRef::new(0, b), PeId(1));
         let mut map_b = map_a.clone();
         map_b.assign(ProcRef::new(0, a), PeId(1));
+        (arch, app, map_a, map_b)
+    }
+
+    /// A→B→A on the live record: every run splices from the record of
+    /// the run just before it, so the revisit of A diffs against B —
+    /// whose remapped root pops at step 0 — and splices nothing, though
+    /// A ran before. Every table is still the oracle's.
+    #[test]
+    fn revisit_splices_from_live_record() {
+        let (arch, app, map_a, map_b) = revisit_chain_fixture();
+        let hints = Hints::empty();
+        let base = FrozenBase::empty(&arch, t(100)).unwrap();
         let spec_a = AppSpec::new(AppId(0), &app, &map_a, &hints);
         let spec_b = AppSpec::new(AppId(0), &app, &map_b, &hints);
         let ref_a = crate::schedule(&arch, &[spec_a], None, t(100)).unwrap();
         let ref_b = crate::schedule(&arch, &[spec_b], None, t(100)).unwrap();
 
-        let (fp_a, fp_b) = (11, 22);
-        for cap in [4usize, 0] {
-            let mut engine = Scheduler::new();
-            engine.set_record_cache_capacity(cap);
-            let (t1, _) = engine
-                .schedule_keyed_with_slack(&arch, &[spec_a], &base, fp_a)
-                .unwrap();
-            // B names A as its predecessor: the probe promotes A's live
-            // record into the cache (capacity permitting), then splices
-            // the live record as usual.
-            let (t2, _) = engine
-                .schedule_delta_keyed_with_slack(&arch, &[spec_b], &base, None, fp_b, Some(fp_a))
-                .unwrap();
-            let before = engine.spliced_step_count();
-            let (t3, _) = engine
-                .schedule_delta_keyed_with_slack(&arch, &[spec_a], &base, None, fp_a, Some(fp_a))
-                .unwrap();
-            assert_eq!(t1, ref_a, "cap {cap}");
-            assert_eq!(t2, ref_b, "cap {cap}");
-            assert_eq!(t3, ref_a, "cap {cap}");
-            assert_eq!(engine.delta_schedule_count(), 2, "cap {cap}");
-            let spliced = engine.spliced_step_count() - before;
-            if cap > 0 {
-                // Cache hit: the revisit is bit-identical to A's
-                // record, so both jobs splice.
-                assert_eq!(spliced, 2, "revisit splices A's whole record");
-            } else {
-                // No cached record: the revisit diffs against the live
-                // (B) record, whose remapped root pops at step 0.
-                assert_eq!(spliced, 0, "live record is the wrong predecessor");
-            }
-        }
+        let mut engine = Scheduler::new();
+        let (t1, _) = engine
+            .schedule_delta_with_slack(&arch, &[spec_a], &base)
+            .unwrap();
+        let (t2, _) = engine
+            .schedule_delta_with_slack(&arch, &[spec_b], &base)
+            .unwrap();
+        let spliced_before_revisit = engine.spliced_step_count();
+        let (t3, _) = engine
+            .schedule_delta_with_slack(&arch, &[spec_a], &base)
+            .unwrap();
+        assert_eq!((t1, t2, t3), (ref_a.clone(), ref_b, ref_a));
+        // The first run has no record; B and the revisit both splice.
+        assert_eq!(engine.delta_schedule_count(), 2);
+        assert_eq!(
+            engine.spliced_step_count() - spliced_before_revisit,
+            0,
+            "the live record (B) diverges at its remapped root"
+        );
     }
 
+    /// The same A→B→A chain, asserted through the deterministic `obs`
+    /// counter registry: the registry must agree exactly with the
+    /// engine's own diagnostics, on the exact event counts the chain is
+    /// known to produce.
     #[test]
     fn observability_counters_pin_the_revisit_chain() {
-        // The same A→B→A chain as
-        // `record_cache_splices_from_true_predecessor`, asserted through
-        // the deterministic `obs` counter registry: the registry must
-        // agree exactly with the engine's own diagnostics, on the exact
-        // event counts the chain is known to produce.
-        let arch = arch2();
-        let mut g = ProcessGraph::new("g", t(100), t(100));
-        let a = g.add_process(Process::new("a").wcet(PeId(0), t(8)).wcet(PeId(1), t(5)));
-        let b = g.add_process(Process::new("b").wcet(PeId(0), t(6)).wcet(PeId(1), t(6)));
-        g.add_message(a, b, Message::new("m", 4)).unwrap();
-        let app = Application::new("app", vec![g]);
+        let (arch, app, map_a, map_b) = revisit_chain_fixture();
         let hints = Hints::empty();
         let base = FrozenBase::empty(&arch, t(100)).unwrap();
-
-        let mut map_a = Mapping::new();
-        map_a.assign(ProcRef::new(0, a), PeId(0));
-        map_a.assign(ProcRef::new(0, b), PeId(1));
-        let mut map_b = map_a.clone();
-        map_b.assign(ProcRef::new(0, a), PeId(1));
         let spec_a = AppSpec::new(AppId(0), &app, &map_a, &hints);
         let spec_b = AppSpec::new(AppId(0), &app, &map_b, &hints);
 
-        let (fp_a, fp_b) = (11, 22);
         let mut engine = Scheduler::new();
-        engine.set_record_cache_capacity(4);
         let before = counters::snapshot();
-        let spliced_before = engine.spliced_step_count();
-        engine
-            .schedule_keyed_with_slack(&arch, &[spec_a], &base, fp_a)
-            .unwrap();
-        engine
-            .schedule_delta_keyed_with_slack(&arch, &[spec_b], &base, None, fp_b, Some(fp_a))
-            .unwrap();
-        engine
-            .schedule_delta_keyed_with_slack(&arch, &[spec_a], &base, None, fp_a, Some(fp_a))
-            .unwrap();
+        for spec in [spec_a, spec_b, spec_a] {
+            engine
+                .schedule_delta_with_slack(&arch, &[spec], &base)
+                .unwrap();
+        }
         let d = counters::snapshot().delta_since(&before);
-        // B→A promoted A's live record into the cache exactly once, and
-        // the revisit hit it exactly once; nothing fell back to the
-        // live record.
-        assert_eq!(d.get(Counter::RecordCachePromotions), 1);
-        assert_eq!(d.get(Counter::RecordCacheHits), 1);
-        assert_eq!(d.get(Counter::RecordCacheFallbacks), 0);
-        assert_eq!(d.get(Counter::RecordCacheEvictions), 0);
+        assert_eq!(engine.delta_schedule_count(), 2);
         // The registry's spliced-step tally is the engine's.
         assert_eq!(
             d.get(Counter::SpliceStepsSpliced),
-            (engine.spliced_step_count() - spliced_before) as u64
+            engine.spliced_step_count() as u64
         );
+        // Both delta runs undo the whole two-step record in place: a
+        // rebase only pays once the undo walk outgrows the reset.
+        assert_eq!(d.get(Counter::SpliceStepsUndone), 4);
+        assert_eq!(d.get(Counter::DeltaRebases), 0);
         // One bake of the empty frozen base... done by FrozenBase::empty
         // *before* the snapshot, so this chain itself bakes nothing.
         assert_eq!(d.get(Counter::BaseBakes), 0);

@@ -148,20 +148,6 @@ fn fuzz_cases() -> u32 {
         .unwrap_or(48)
 }
 
-/// CI hook mirroring the mapping layer's `INCDES_RECORD_CACHE_CAP`:
-/// overrides a scheduler's record-cache capacity so the differential
-/// fuzz can run with forced eviction churn (cap 1) or cached-record
-/// splicing disabled (cap 0) in a dedicated job, on top of the caps
-/// the generators pick themselves.
-fn apply_cap_env(s: &mut Scheduler) {
-    if let Some(cap) = std::env::var("INCDES_RECORD_CACHE_CAP")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        s.set_record_cache_capacity(cap);
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
 
@@ -209,8 +195,6 @@ proptest! {
         let mut delta = Scheduler::new();
         let mut hinted = Scheduler::new();
         let mut full = Scheduler::new();
-        apply_cap_env(&mut delta);
-        apply_cap_env(&mut hinted);
 
         // Step 0: the initial solution, then one single move per step.
         for step in 0..=moves.len() {
@@ -285,19 +269,15 @@ proptest! {
         );
     }
 
-    /// Keyed record-cache fuzz: a chain revisiting a small palette of
-    /// solutions in random order, under a random (possibly tiny)
-    /// record-cache capacity, stays bit-equal to the one-shot oracle
-    /// and the full-engine path at every step. The preferred
-    /// predecessor is the min-diff previously visited solution — the
-    /// same rule the mapping layer applies — so small caps force
-    /// probe misses and eviction churn on every revisit pattern the
-    /// generator produces.
+    /// Revisit-chain fuzz: a chain hopping among a small palette of
+    /// solutions in random order (A→B→A revisits, jumps of several
+    /// remaps at once) always splices from the live record of the run
+    /// just before it, and stays bit-equal to the one-shot oracle and
+    /// the full-engine path at every step.
     #[test]
-    fn keyed_revisit_chain_matches_oracle(
+    fn revisit_chain_matches_oracle(
         pes in proptest::collection::vec(0u32..3, 24),
         visits in proptest::collection::vec(0usize..4, 2..16),
-        cap in 0usize..4,
     ) {
         let arch = arch3();
         let horizon = Time::new(240);
@@ -320,52 +300,27 @@ proptest! {
                 m
             })
             .collect();
-        let diff = |a: usize, b: usize| -> usize {
-            app.processes()
-                .enumerate()
-                .filter(|(i, _)| pes[a * 6 + i] != pes[b * 6 + i])
-                .count()
-        };
 
         let hints = Hints::empty();
         let base = FrozenBase::new(&arch, None, horizon).unwrap();
         let mut engine = Scheduler::new();
-        engine.set_record_cache_capacity(cap);
-        apply_cap_env(&mut engine);
         let mut full = Scheduler::new();
-        let mut seen: Vec<usize> = Vec::new();
 
         for (step, &sol) in visits.iter().enumerate() {
-            let fp = sol as u64 + 1;
             let spec = AppSpec::new(AppId(0), &app, &palette[sol], &hints);
             let reference = schedule(&arch, &[spec], None, horizon).unwrap();
-            let keyed = if step == 0 {
-                engine.schedule_keyed_with_slack(&arch, &[spec], &base, fp)
-            } else {
-                // Min-diff previously seen solution, most recent on
-                // ties — the mapping layer's ranking rule.
-                let prefer = seen
-                    .iter()
-                    .rev()
-                    .min_by_key(|&&p| diff(p, sol))
-                    .map(|&p| p as u64 + 1);
-                engine.schedule_delta_keyed_with_slack(&arch, &[spec], &base, None, fp, prefer)
-            };
-            let (kt, ks) = keyed.unwrap();
+            let (dt, ds) = engine.schedule_delta_with_slack(&arch, &[spec], &base).unwrap();
             let (ft, fs) = full.schedule_with_slack(&arch, &[spec], &base).unwrap();
-            prop_assert_eq!(&kt, &reference, "keyed table diverged at step {}", step);
+            prop_assert_eq!(&dt, &reference, "delta table diverged at step {}", step);
             prop_assert_eq!(&ft, &reference, "full table diverged at step {}", step);
             let reference_slack = SlackProfile::from_table(&arch, &reference);
-            prop_assert_eq!(&ks, &reference_slack, "keyed slack diverged at step {}", step);
+            prop_assert_eq!(&ds, &reference_slack, "delta slack diverged at step {}", step);
             prop_assert_eq!(&fs, &reference_slack, "full slack diverged at step {}", step);
-            if !seen.contains(&sol) {
-                seen.push(sol);
-            }
         }
         prop_assert_eq!(
             engine.delta_schedule_count(),
             engine.raw_schedule_count() - 1,
-            "keyed chain disengaged the delta path"
+            "revisit chain disengaged the delta path"
         );
     }
 
@@ -446,108 +401,6 @@ proptest! {
     }
 }
 
-/// Deterministic wrong-predecessor regression: the cyclic chain
-/// A→B→C→A→B→C→A→B→C revisits each solution with its own record still
-/// cached. With the record cache on, every revisit of A names A's
-/// fingerprint, hits A's promoted record, and splices *all* ten steps
-/// (an exact revisit diverges nowhere) even though B and C ran in
-/// between. With capacity 0 the engine can only diff against the live
-/// record — the wrong predecessor, whose remapped node truncates the
-/// splice at its pop step. Results stay bit-equal to the oracle either
-/// way; only the spliced-step counts reveal the predecessor choice.
-#[test]
-fn cyclic_chain_splices_from_own_record() {
-    if std::env::var_os("INCDES_RECORD_CACHE_CAP").is_some() {
-        // The capacity matrix below *is* the test; an external
-        // override (the CI churn job) would scramble its expected
-        // spliced-step counts.
-        return;
-    }
-    let arch = arch3();
-    let horizon = Time::new(240);
-    let mut g = ProcessGraph::new("wide", horizon, horizon);
-    for i in 0..10 {
-        let mut p = Process::new(format!("p{i}"));
-        for pe in 0..3u32 {
-            p = p.wcet(PeId(pe), Time::new(5 + (i % 4) as u64));
-        }
-        g.add_process(p);
-    }
-    let app = Application::new("wide", vec![g]);
-    let hints = Hints::empty();
-
-    // A is the base assignment; B remaps node 0, C remaps node 1.
-    let mut map_a = Mapping::new();
-    for (pr, _) in app.processes() {
-        mapping_assign_mod3(&mut map_a, pr);
-    }
-    let mut map_b = map_a.clone();
-    map_b.assign(ProcRef::new(0, NodeId(0)), PeId(1));
-    let mut map_c = map_a.clone();
-    map_c.assign(ProcRef::new(0, NodeId(1)), PeId(2));
-    let solutions = [&map_a, &map_b, &map_c];
-
-    for cap in [4usize, 1, 0] {
-        let base = FrozenBase::new(&arch, None, horizon).unwrap();
-        let mut engine = Scheduler::new();
-        engine.set_record_cache_capacity(cap);
-        let mut spliced_on_revisit_a = Vec::new();
-        for step in 0..9 {
-            let sol = step % 3;
-            let fp = sol as u64 + 1;
-            let spec = AppSpec::new(AppId(0), &app, solutions[sol], &hints);
-            let reference = schedule(&arch, &[spec], None, horizon).unwrap();
-            let before = engine.spliced_step_count();
-            let (table, slack) = if step == 0 {
-                engine
-                    .schedule_keyed_with_slack(&arch, &[spec], &base, fp)
-                    .unwrap()
-            } else {
-                // The min-diff previously seen solution: itself on a
-                // revisit (distance 0), A on a first visit of B or C
-                // (one move away, vs. two between B and C).
-                let prefer = Some(if step < 3 { 1 } else { fp });
-                engine
-                    .schedule_delta_keyed_with_slack(&arch, &[spec], &base, None, fp, prefer)
-                    .unwrap()
-            };
-            assert_eq!(table, reference, "cap {cap} step {step}");
-            assert_eq!(
-                slack,
-                SlackProfile::from_table(&arch, &reference),
-                "cap {cap} step {step}"
-            );
-            if sol == 0 && step > 0 {
-                spliced_on_revisit_a.push(engine.spliced_step_count() - before);
-            }
-        }
-        assert_eq!(engine.delta_schedule_count(), 8, "cap {cap}");
-        if cap > 0 {
-            // A was promoted when B first claimed it; both revisits of
-            // A hit that record and splice every step.
-            assert_eq!(
-                spliced_on_revisit_a,
-                vec![10, 10],
-                "cap {cap}: revisits of A must splice A's whole record"
-            );
-        } else {
-            // Without the cache the live record (C) is the only
-            // predecessor; everything from its remapped node's pop
-            // step on must be re-placed.
-            assert!(
-                spliced_on_revisit_a.iter().all(|&s| s < 10),
-                "cap {cap}: wrong-predecessor diff spliced a full record \
-                 ({spliced_on_revisit_a:?})"
-            );
-        }
-    }
-}
-
-/// `node.index() % 3` assignment shared by the cyclic-chain test.
-fn mapping_assign_mod3(m: &mut Mapping, pr: ProcRef) {
-    m.assign(pr, PeId(pr.node.index() as u32 % 3));
-}
-
 /// Deterministic splice regression: a long chain of hint toggles on one
 /// node of a wide graph must splice most steps (the untouched siblings'
 /// placements are reused), and still match the oracle bit-for-bit.
@@ -617,4 +470,64 @@ fn hint_toggle_chain_splices_most_steps() {
         "unchanged PEs must alias the previous profile ({} fresh)",
         engine.fresh_gap_list_count()
     );
+}
+
+/// Deterministic cyclic-chain regression: A→B→C→A→B→C→A→B→C revisits
+/// each solution after two others ran. The engine keeps one record —
+/// its own, from the run just before — so every step splices from that
+/// live record, never from an older run of the same solution. A revisit
+/// of A therefore diffs against C, whose remapped node truncates the
+/// splice at its pop step: it never keeps all ten steps, although A
+/// itself ran before. Results stay bit-equal to the oracle at every
+/// step; the spliced-step counts pin the predecessor choice.
+#[test]
+fn cyclic_chain_splices_from_own_record() {
+    let arch = arch3();
+    let horizon = Time::new(240);
+    let mut g = ProcessGraph::new("wide", horizon, horizon);
+    for i in 0..10 {
+        let mut p = Process::new(format!("p{i}"));
+        for pe in 0..3u32 {
+            p = p.wcet(PeId(pe), Time::new(5 + (i % 4) as u64));
+        }
+        g.add_process(p);
+    }
+    let app = Application::new("wide", vec![g]);
+    let hints = Hints::empty();
+
+    // A is the base assignment; B remaps node 0, C remaps node 1.
+    let mut map_a = Mapping::new();
+    for (pr, _) in app.processes() {
+        map_a.assign(pr, PeId(pr.node.index() as u32 % 3));
+    }
+    let mut map_b = map_a.clone();
+    map_b.assign(ProcRef::new(0, NodeId(0)), PeId(1));
+    let mut map_c = map_a.clone();
+    map_c.assign(ProcRef::new(0, NodeId(1)), PeId(2));
+    let solutions = [&map_a, &map_b, &map_c];
+
+    let base = FrozenBase::new(&arch, None, horizon).unwrap();
+    let mut engine = Scheduler::new();
+    let mut spliced = Vec::new();
+    for step in 0..9 {
+        let spec = AppSpec::new(AppId(0), &app, solutions[step % 3], &hints);
+        let reference = schedule(&arch, &[spec], None, horizon).unwrap();
+        let before = engine.spliced_step_count();
+        let (table, slack) = engine
+            .schedule_delta_with_slack(&arch, &[spec], &base)
+            .unwrap();
+        assert_eq!(table, reference, "step {step}");
+        assert_eq!(
+            slack,
+            SlackProfile::from_table(&arch, &reference),
+            "step {step}"
+        );
+        spliced.push(engine.spliced_step_count() - before);
+    }
+    // The first run has no record; every later one splices the live one.
+    assert_eq!(engine.delta_schedule_count(), 8);
+    // B keeps A's prefix up to node 0's pop step (7 of 10); C after B
+    // and A after C both stop at node 1's (4). Each cycle repeats the
+    // last, and no revisit of A keeps its whole ten-step record.
+    assert_eq!(spliced, vec![0, 7, 4, 4, 7, 4, 4, 7, 4]);
 }
