@@ -695,7 +695,8 @@ fn bench_eval_cmd(args: &[String]) {
 
     // Parallel-search guard, at *every* size: batched MH widening must
     // not lose to the sequential delta path anywhere (same 5 % noise
-    // grace). The small-batch cutover and the available-parallelism cap
+    // grace). The small-batch cutover (`BATCH_CUTOVER` in
+    // `incdes_mapping::context`) and the available-parallelism cap
     // collapse the dispatch onto the inline worker whenever spawning
     // would cost more than it buys, so this holds even on machines with
     // fewer hardware threads than requested — the old skip-on-small-hw

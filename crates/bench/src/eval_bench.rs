@@ -187,8 +187,8 @@ pub struct StrategyBenchRow {
     /// for MH and SA on the largest size.
     pub delta_vs_engine: f64,
     /// Wall-clock of the parallel-mode delta run (batched MH widening
-    /// rounds over the benchmark's thread count; SA stays on one chain
-    /// so its semantics — and this comparison — stay exact).
+    /// rounds over the benchmark's thread count; SA runs its sequential
+    /// chain, so this comparison stays exact).
     pub par_ms: f64,
     /// `delta_ms / par_ms` — > 1 when fanning candidate evaluation out
     /// over threads beats the sequential delta path. On a single
@@ -388,16 +388,10 @@ pub fn run_eval_bench(
     threads: usize,
     profile: bool,
 ) -> EvalBench {
-    // One chain and a fixed exchange period keep the parallel mode
-    // semantically identical to the sequential delta path (same
-    // solution, cost, evaluation count), so the wall-clock comparison
-    // below measures the batching alone.
-    let par = SearchParallelism::Parallel {
-        threads: threads.max(1),
-        batch_cutover: 0,
-        sa_chains: 1,
-        sa_exchange_period: 64,
-    };
+    // The parallel mode is semantically identical to the sequential
+    // delta path (same solution, cost, evaluation count), so the
+    // wall-clock comparison below measures the batching alone.
+    let par = SearchParallelism::threads(threads);
     let seed = preset.seeds[0];
     let mut raw = Vec::new();
     let mut strategies = Vec::new();

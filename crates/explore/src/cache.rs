@@ -64,13 +64,11 @@ struct Fingerprint {
     future_processes: usize,
     demand_factor: f64,
     check_invariants: bool,
-    /// The spec's [`SearchParallelism`] with `threads` normalized to 1
-    /// and `batch_cutover` to 0: neither changes report bytes (the
-    /// batch protocol reduces in candidate-index order whether the
-    /// dispatch spawned threads or ran inline), but Sequential vs.
-    /// Parallel does (different splice diagnostics, and the SA
-    /// portfolio runs different chains), so mode / `sa_chains` /
-    /// `sa_exchange_period` are part of the scenario's identity.
+    /// The spec's [`SearchParallelism`] with `threads` normalized to 1:
+    /// the thread count never changes report bytes (the batch protocol
+    /// reduces in candidate-index order however the dispatch ran), but
+    /// Sequential vs. Parallel does (different splice diagnostics), so
+    /// the mode is part of the scenario's identity.
     parallelism: SearchParallelism,
     script: Vec<ScriptStep>,
     size: usize,
@@ -103,16 +101,7 @@ fn store_key_with(cfg: &SynthConfig, spec: &CampaignSpec, scenario: &ScenarioKey
         check_invariants: spec.check_invariants,
         parallelism: match spec.parallelism {
             SearchParallelism::Sequential => SearchParallelism::Sequential,
-            SearchParallelism::Parallel {
-                sa_chains,
-                sa_exchange_period,
-                ..
-            } => SearchParallelism::Parallel {
-                threads: 1,
-                batch_cutover: 0,
-                sa_chains,
-                sa_exchange_period,
-            },
+            SearchParallelism::Parallel { .. } => SearchParallelism::Parallel { threads: 1 },
         },
         script: spec.script.clone(),
         size: scenario.size,
@@ -557,40 +546,32 @@ mod tests {
     #[test]
     fn fingerprints_normalize_execution_only_parallelism_knobs() {
         use incdes_mapping::SearchParallelism;
-        let mut spec = CampaignSpec::small_demo();
-        spec.parallelism = SearchParallelism::Parallel {
-            threads: 1,
-            batch_cutover: 0,
-            sa_chains: 2,
-            sa_exchange_period: 16,
-        };
+        let spec = CampaignSpec::small_demo();
         let key = spec.scenarios()[0].clone();
-        let a = scenario_store_key(&spec, &key).unwrap();
-
-        // `threads` and `batch_cutover` multiplex execution only; the
-        // report bytes (and therefore the store key) must not move.
-        let mut retuned = spec.clone();
-        retuned.parallelism = SearchParallelism::Parallel {
-            threads: 8,
-            batch_cutover: usize::MAX,
-            sa_chains: 2,
-            sa_exchange_period: 16,
+        let with = |parallelism: SearchParallelism| {
+            let mut spec = spec.clone();
+            spec.parallelism = parallelism;
+            scenario_store_key(&spec, &key).unwrap()
         };
-        assert_eq!(a, scenario_store_key(&retuned, &key).unwrap());
+        // `threads` multiplexes execution only; the report bytes (and
+        // therefore the store key) must not move.
+        let par = with(SearchParallelism::threads(1));
+        assert_eq!(par, with(SearchParallelism::threads(8)));
+        // The mode changes the splice diagnostics, so it changes the key.
+        assert_ne!(par, with(SearchParallelism::Sequential));
+    }
 
-        // The SA-portfolio knobs and the mode change the trajectory,
-        // so they change the key.
-        let mut rechained = spec.clone();
-        rechained.parallelism = SearchParallelism::Parallel {
-            threads: 1,
-            batch_cutover: 0,
-            sa_chains: 3,
-            sa_exchange_period: 16,
-        };
-        assert_ne!(a, scenario_store_key(&rechained, &key).unwrap());
-        let mut sequential = spec.clone();
-        sequential.parallelism = SearchParallelism::Sequential;
-        assert_ne!(a, scenario_store_key(&sequential, &key).unwrap());
+    #[test]
+    fn small_demo_store_key_is_pinned() {
+        // Any change to the fingerprint (its fields, their
+        // serialization, the default spec) must come with a
+        // `CODE_EPOCH` bump; this golden key makes a silent drift fail.
+        let spec = CampaignSpec::small_demo();
+        let key = scenario_store_key(&spec, &spec.scenarios()[0]).unwrap();
+        assert_eq!(
+            key.hex(),
+            "2a041658b6d4f3a1448c275bf542cd7277ce4d73e73cce6a30d948fdf4881db7"
+        );
     }
 
     #[test]

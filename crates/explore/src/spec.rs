@@ -392,6 +392,25 @@ mod tests {
     }
 
     #[test]
+    fn specs_with_retired_parallelism_knobs_still_load() {
+        // Specs written before `Parallel` shrank to `{ threads }` carry
+        // `batch_cutover`, `sa_chains` and `sa_exchange_period`; unknown
+        // keys are ignored, so they load as `Parallel { threads }` (and
+        // SA runs its one classic chain).
+        let mut spec = CampaignSpec::small_demo();
+        spec.parallelism = SearchParallelism::threads(2);
+        let json = serde_json::to_string(&spec).unwrap();
+        let current = r#""Parallel":{"threads":2}"#;
+        assert!(json.contains(current), "{json}");
+        let old = json.replace(
+            current,
+            r#""Parallel":{"threads":2,"batch_cutover":7,"sa_chains":3,"sa_exchange_period":16}"#,
+        );
+        let back: CampaignSpec = serde_json::from_str(&old).unwrap();
+        assert_eq!(back, spec);
+    }
+
+    #[test]
     fn preset_resolution() {
         let mut spec = CampaignSpec::small_demo();
         spec.base = BaseSpec::Preset("dac2001-small".to_string());

@@ -69,41 +69,22 @@ use std::sync::{Arc, OnceLock};
 /// only multiplexes *execution*: every search-visible result — the
 /// accepted MH move, the solutions and costs, `evaluation_count()`, the
 /// iteration counts, every campaign report — is byte-identical for any
-/// thread count ≥ 1. Batch evaluation reduces candidates in
-/// candidate-index order, SA runs a fixed number of chains (set by
-/// `sa_chains`, not by `threads`) with per-chain deterministic RNG
-/// streams, and worker engines evaluate against the shared
-/// `Arc<FrozenBase>` on the full (splice-free) path so no counter
-/// depends on how candidates were partitioned.
+/// thread count ≥ 1. MH candidate batches reduce in candidate-index
+/// order, and batch workers score each miss against the shared
+/// `Arc<FrozenBase>` on the full (splice-free) path with fresh objective
+/// caches, so no counter depends on how candidates were partitioned. SA
+/// runs its one seeded chain on the context's own engine in either mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SearchParallelism {
     /// The historical single-threaded path: candidates are evaluated one
     /// by one on the context's own engine (memo + delta splicing). The
-    /// default; behaves exactly as before this type existed.
+    /// default.
     Sequential,
-    /// Deterministic parallel in-scenario search.
+    /// Deterministic parallel evaluation of MH candidate batches.
     Parallel {
-        /// Worker threads for MH candidate batches and SA chain
-        /// multiplexing. Clamped to ≥ 1; `1` runs the identical batch
-        /// semantics inline.
+        /// Worker threads for MH candidate batches. Clamped to ≥ 1; `1`
+        /// runs the identical batch semantics inline.
         threads: usize,
-        /// Dispatched batches with fewer deduped candidates than this
-        /// run on the single inline worker instead of spawning
-        /// threads — same batch protocol, same bytes, no per-batch
-        /// thread-spawn cost that used to swamp small-system MH
-        /// batches. `0` (the serde default, so old specs keep their
-        /// key) means [`SearchParallelism::DEFAULT_BATCH_CUTOVER`].
-        /// Like `threads`, this multiplexes execution only and is
-        /// normalized out of campaign fingerprints.
-        #[serde(default)]
-        batch_cutover: usize,
-        /// Number of concurrent SA chains (per-chain ChaCha8 streams,
-        /// periodic best-exchange). Clamped to ≥ 1; `1` keeps the
-        /// classic single-chain SA.
-        sa_chains: usize,
-        /// Proposals each SA chain runs between best-exchange barriers.
-        /// Clamped to ≥ 1.
-        sa_exchange_period: usize,
     },
 }
 
@@ -114,37 +95,19 @@ impl Default for SearchParallelism {
 }
 
 impl SearchParallelism {
-    /// Default [`batch_cutover`](SearchParallelism::Parallel::batch_cutover):
-    /// below ~16 deduped misses the per-batch `thread::scope` spawn
-    /// costs more than the evaluations it parallelizes.
-    pub const DEFAULT_BATCH_CUTOVER: usize = 16;
-
-    /// Parallel candidate evaluation over `n` threads with the classic
-    /// single-chain SA (the configuration the `INCDES_SEARCH_THREADS`
-    /// differential-CI hook uses).
+    /// Parallel candidate evaluation over `n` threads (the configuration
+    /// the `INCDES_SEARCH_THREADS` differential-CI hook uses).
     #[must_use]
     pub fn threads(n: usize) -> Self {
-        SearchParallelism::Parallel {
-            threads: n.max(1),
-            batch_cutover: 0,
-            sa_chains: 1,
-            sa_exchange_period: 64,
-        }
-    }
-
-    /// The effective small-batch cutover: the configured value, with
-    /// `0` resolved to [`Self::DEFAULT_BATCH_CUTOVER`].
-    #[must_use]
-    pub fn effective_batch_cutover(&self) -> usize {
-        match *self {
-            SearchParallelism::Sequential => 0,
-            SearchParallelism::Parallel {
-                batch_cutover: 0, ..
-            } => Self::DEFAULT_BATCH_CUTOVER,
-            SearchParallelism::Parallel { batch_cutover, .. } => batch_cutover,
-        }
+        SearchParallelism::Parallel { threads: n.max(1) }
     }
 }
+
+/// Dispatched batches with fewer deduped misses than this run on the
+/// single inline worker: below ~16 misses the per-batch `thread::scope`
+/// spawn costs more than the evaluations it parallelizes. Execution
+/// only — the batch protocol gives the same bytes either way.
+const BATCH_CUTOVER: usize = 16;
 
 /// Deterministic worker count for one dispatched miss batch: one
 /// worker per job up to `threads`, capped at the machine's available
@@ -164,8 +127,7 @@ fn batch_worker_count(threads: usize, jobs: usize, cutover: usize, hw: usize) ->
 /// Process-wide default parallelism, for differential CI runs:
 /// `INCDES_SEARCH_THREADS=N` makes every context built without an
 /// explicit [`MappingContext::with_parallelism`] evaluate MH batches
-/// over `N` threads (SA stays single-chain so strategy results keep
-/// their sequential trajectories). Unset or `0` means sequential; an
+/// over `N` threads. Unset or `0` means sequential; an
 /// unparsable value warns once on stderr and is ignored.
 fn env_parallelism() -> SearchParallelism {
     static CACHE: OnceLock<SearchParallelism> = OnceLock::new();
@@ -610,7 +572,7 @@ impl EvalEngine {
 /// objective inputs. Everything behind these references is plain data
 /// (the workspace forbids interior mutability below `mapping`), so a
 /// `Scene` can be handed to scoped worker threads while each worker
-/// keeps its own private [`EvalEngine`] scratch.
+/// keeps its own private [`Scheduler`] scratch.
 #[derive(Clone, Copy)]
 struct Scene<'a> {
     arch: &'a Architecture,
@@ -623,8 +585,7 @@ struct Scene<'a> {
 }
 
 /// The three evaluation counters, grouped so the engine functions can
-/// take one `&mut` and SA chains can merge their tallies back in chain
-/// order.
+/// take one `&mut`.
 #[derive(Debug, Default, Clone, Copy)]
 struct EngineCounts {
     evaluations: usize,
@@ -632,19 +593,10 @@ struct EngineCounts {
     memo_hits: usize,
 }
 
-/// Scheduler diagnostics absorbed from worker/chain engines (the main
-/// context's accessors add these to its own scheduler's counts).
-#[derive(Debug, Default, Clone, Copy)]
-struct SchedDiag {
-    delta_schedules: usize,
-    spliced_steps: usize,
-}
-
 /// The objective terms of a freshly scheduled slack profile, through the
-/// given engine's identity-keyed C2/C1 caches. Shared by the main
-/// evaluation path and the parallel batch workers — the caches are
-/// behavior-transparent, so whichever engine scores a solution produces
-/// bit-identical costs.
+/// given identity-keyed C2/C1 caches. Shared by the main evaluation path
+/// and the parallel batch workers — the caches are behavior-transparent,
+/// so warm and fresh caches produce bit-identical costs.
 fn score_slack(
     scene: &Scene<'_>,
     c2: &mut C2Cache,
@@ -664,9 +616,7 @@ fn score_slack(
 }
 
 /// One memoized engine evaluation (the body of
-/// [`MappingContext::evaluate`], factored over an explicit engine +
-/// counter pair so SA portfolio chains can run it on their private
-/// engines).
+/// [`MappingContext::evaluate`]).
 fn engine_evaluate(
     scene: &Scene<'_>,
     engine: &mut EvalEngine,
@@ -781,21 +731,27 @@ fn engine_evaluate_raw(
 }
 
 /// A batch worker's evaluation: the full (splice-free) path against the
-/// shared frozen base, no memo, no record bookkeeping. Every call costs
-/// exactly one raw schedule and zero delta/spliced steps, so the
-/// batch's counters are a function of the hit/miss pattern alone —
-/// independent of how candidates were partitioned over threads.
+/// shared frozen base, no memo, no record bookkeeping, and fresh C2/C1
+/// caches. Every call costs exactly one raw schedule, zero delta/spliced
+/// steps and one cold objective scoring, so the batch's counters are a
+/// function of the hit/miss pattern alone — independent of how
+/// candidates were partitioned over threads. (A warm cache would hit
+/// depending on what its worker scored before; the full path changes
+/// nearly every resource anyway, so it would save little.)
 fn evaluate_shared_full(
     scene: &Scene<'_>,
     base: &Arc<FrozenBase>,
-    worker: &mut EvalEngine,
+    scheduler: &mut Scheduler,
     solution: &Solution,
 ) -> Result<Evaluation, SchedError> {
     let spec = AppSpec::new(scene.app_id, scene.app, &solution.mapping, &solution.hints);
-    let (table, slack) = worker
-        .scheduler
-        .schedule_with_slack(scene.arch, &[spec], base)?;
-    let cost = score_slack(scene, &mut worker.c2, &mut worker.c1, &slack);
+    let (table, slack) = scheduler.schedule_with_slack(scene.arch, &[spec], base)?;
+    let cost = score_slack(
+        scene,
+        &mut C2Cache::default(),
+        &mut C1Cache::default(),
+        &slack,
+    );
     Ok(Evaluation { table, slack, cost })
 }
 
@@ -819,14 +775,12 @@ pub struct MappingContext<'a> {
     /// Objective-function weights.
     pub weights: &'a Weights,
     counts: Cell<EngineCounts>,
-    /// Scheduler diagnostics merged in from worker/chain engines.
-    absorbed: Cell<SchedDiag>,
     naive: bool,
     full_engine: bool,
     parallelism: SearchParallelism,
     engine: RefCell<EvalEngine>,
-    /// Idle batch-worker engines, recycled across parallel rounds.
-    workers: RefCell<Vec<EvalEngine>>,
+    /// Idle batch-worker schedulers, recycled across parallel rounds.
+    workers: RefCell<Vec<Scheduler>>,
 }
 
 impl<'a> MappingContext<'a> {
@@ -850,7 +804,6 @@ impl<'a> MappingContext<'a> {
             future,
             weights,
             counts: Cell::new(EngineCounts::default()),
-            absorbed: Cell::new(SchedDiag::default()),
             naive: false,
             full_engine: false,
             parallelism: env_parallelism(),
@@ -1002,18 +955,19 @@ impl<'a> MappingContext<'a> {
     }
 
     /// Number of raw schedules that took the delta-scheduling path
-    /// (spliced the previous run instead of resetting from the base),
-    /// including those of absorbed SA portfolio chains. Always ≤
-    /// [`raw_schedule_count`](Self::raw_schedule_count); zero on the
-    /// naive and full-engine pipelines.
+    /// (spliced the previous run instead of resetting from the base).
+    /// Always ≤ [`raw_schedule_count`](Self::raw_schedule_count); zero
+    /// on the naive and full-engine pipelines, and for candidates
+    /// evaluated by parallel batch workers (which take the splice-free
+    /// path).
     pub fn delta_schedule_count(&self) -> usize {
-        self.engine.borrow().scheduler.delta_schedule_count() + self.absorbed.get().delta_schedules
+        self.engine.borrow().scheduler.delta_schedule_count()
     }
 
     /// Total placement steps the delta path spliced verbatim from the
     /// live run record (diagnostics for benches and tests).
     pub fn spliced_step_count(&self) -> usize {
-        self.engine.borrow().scheduler.spliced_step_count() + self.absorbed.get().spliced_steps
+        self.engine.borrow().scheduler.spliced_step_count()
     }
 
     /// Evaluates a whole candidate batch, honoring this context's
@@ -1025,12 +979,8 @@ impl<'a> MappingContext<'a> {
     /// of [`evaluate_batch`](Self::evaluate_batch).
     pub(crate) fn evaluate_all(&self, trials: &[Solution]) -> Vec<Result<Evaluation, SchedError>> {
         match self.parallelism {
-            SearchParallelism::Parallel { threads, .. } if !self.naive && !trials.is_empty() => {
-                self.evaluate_batch(
-                    trials,
-                    threads.max(1),
-                    self.parallelism.effective_batch_cutover(),
-                )
+            SearchParallelism::Parallel { threads } if !self.naive && !trials.is_empty() => {
+                self.evaluate_batch(trials, threads.max(1), BATCH_CUTOVER)
             }
             _ => trials.iter().map(|t| self.evaluate(t)).collect(),
         }
@@ -1042,7 +992,7 @@ impl<'a> MappingContext<'a> {
     ///    candidate ticks the memo clock and counts one evaluation; memo
     ///    hits are re-stamped and answered immediately, misses are
     ///    horizon-checked and queued.
-    /// 2. **Dispatch**: queued misses are evaluated on worker engines
+    /// 2. **Dispatch**: queued misses are evaluated on worker schedulers
     ///    (`std::thread::scope`) against the shared `Arc<FrozenBase>`,
     ///    on the full splice-free path — each miss costs exactly one
     ///    raw schedule and zero delta steps, and its result depends only
@@ -1138,7 +1088,7 @@ impl<'a> MappingContext<'a> {
         }
         engine.key_scratch = scratch;
 
-        // Pass 2: dispatch the runnable misses to worker engines.
+        // Pass 2: dispatch the runnable misses to worker schedulers.
         if misses.iter().any(|m| m.run) {
             let base = engine.base.get_or_insert_with(|| {
                 FrozenBase::new(scene.arch, scene.frozen, scene.horizon).map(Arc::new)
@@ -1159,7 +1109,7 @@ impl<'a> MappingContext<'a> {
                     counts.raw_schedules += jobs.len();
                     let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
                     let worker_count = batch_worker_count(threads, jobs.len(), batch_cutover, hw);
-                    let mut engines: Vec<EvalEngine> = {
+                    let mut schedulers: Vec<Scheduler> = {
                         let mut pool = self.workers.borrow_mut();
                         (0..worker_count)
                             .map(|_| pool.pop().unwrap_or_default())
@@ -1168,21 +1118,24 @@ impl<'a> MappingContext<'a> {
                     let produced: Vec<(usize, Result<Evaluation, SchedError>)> = if worker_count
                         == 1
                     {
-                        let eng = &mut engines[0];
+                        let worker = &mut schedulers[0];
                         jobs.iter()
                             .map(|&idx| {
-                                (idx, evaluate_shared_full(&scene, &base, eng, &trials[idx]))
+                                (
+                                    idx,
+                                    evaluate_shared_full(&scene, &base, worker, &trials[idx]),
+                                )
                             })
                             .collect()
                     } else {
                         let jobs = &jobs;
                         let scene = &scene;
                         let base = &base;
-                        let finished: Vec<(EvalEngine, Vec<_>, _, _)> = std::thread::scope(|s| {
-                            let handles: Vec<_> = engines
+                        let finished: Vec<(Scheduler, Vec<_>, _, _)> = std::thread::scope(|s| {
+                            let handles: Vec<_> = schedulers
                                 .drain(..)
                                 .enumerate()
-                                .map(|(w, mut eng)| {
+                                .map(|(w, mut worker)| {
                                     s.spawn(move || {
                                         let mut produced = Vec::new();
                                         let mut k = w;
@@ -1193,7 +1146,7 @@ impl<'a> MappingContext<'a> {
                                                 evaluate_shared_full(
                                                     scene,
                                                     base,
-                                                    &mut eng,
+                                                    &mut worker,
                                                     &trials[idx],
                                                 ),
                                             ));
@@ -1204,7 +1157,7 @@ impl<'a> MappingContext<'a> {
                                         // observability cells started at
                                         // zero: the final snapshot *is*
                                         // the worker's contribution.
-                                        (eng, produced, counters::snapshot(), phase::snapshot())
+                                        (worker, produced, counters::snapshot(), phase::snapshot())
                                     })
                                 })
                                 .collect();
@@ -1214,15 +1167,15 @@ impl<'a> MappingContext<'a> {
                                 .collect()
                         });
                         let mut collected = Vec::with_capacity(jobs.len());
-                        for (eng, produced, worker_counters, worker_phases) in finished {
-                            engines.push(eng);
+                        for (worker, produced, worker_counters, worker_phases) in finished {
+                            schedulers.push(worker);
                             collected.extend(produced);
                             counters::merge_into_current(&worker_counters);
                             phase::merge_into_current(&worker_phases);
                         }
                         collected
                     };
-                    self.workers.borrow_mut().append(&mut engines);
+                    self.workers.borrow_mut().append(&mut schedulers);
                     for (idx, res) in produced {
                         out[idx] = Some(res);
                     }
@@ -1263,115 +1216,18 @@ impl<'a> MappingContext<'a> {
             .map(|r| r.expect("every candidate planned"))
             .collect()
     }
-
-    /// Builds `n` private chain lanes for the SA portfolio, each with
-    /// its own [`EvalEngine`] (delta splicing enabled) sharing this
-    /// context's `Arc<FrozenBase>`. Returns `None` when no shareable
-    /// base exists (naive pipeline, or the bake failed — the classic
-    /// path's initial evaluation surfaces the same error).
-    pub(crate) fn chain_contexts(&self, n: usize) -> Option<Vec<ChainCtx<'a>>> {
-        if self.naive {
-            return None;
-        }
-        let mut engine = self.engine.borrow_mut();
-        let base = engine.base.get_or_insert_with(|| {
-            FrozenBase::new(self.arch, self.frozen, self.horizon).map(Arc::new)
-        });
-        let base = match base {
-            Ok(b) => Arc::clone(b),
-            Err(_) => return None,
-        };
-        let scene = self.scene();
-        Some(
-            (0..n)
-                .map(|_| ChainCtx {
-                    scene,
-                    engine: EvalEngine {
-                        base: Some(Ok(Arc::clone(&base))),
-                        ..EvalEngine::default()
-                    },
-                    counts: EngineCounts::default(),
-                    full_engine: self.full_engine,
-                })
-                .collect(),
-        )
-    }
-
-    /// Merges finished chain lanes back into this context's counters.
-    /// Callers pass chains in chain-index order; since addition is
-    /// order-independent the totals are identical for any execution
-    /// interleaving — the counters a portfolio run reports depend only
-    /// on the per-chain trajectories, never on the thread count.
-    pub(crate) fn absorb_chains(&self, chains: Vec<ChainCtx<'_>>) {
-        let mut counts = self.counts.get();
-        let mut diag = self.absorbed.get();
-        for c in chains {
-            counts.evaluations += c.counts.evaluations;
-            counts.raw_schedules += c.counts.raw_schedules;
-            counts.memo_hits += c.counts.memo_hits;
-            diag.delta_schedules += c.engine.scheduler.delta_schedule_count();
-            diag.spliced_steps += c.engine.scheduler.spliced_step_count();
-        }
-        self.counts.set(counts);
-        self.absorbed.set(diag);
-    }
-}
-
-/// A private evaluation lane for one SA portfolio chain: its own engine
-/// (scheduler + live key + memo + objective caches, delta splicing
-/// enabled) sharing the scenario's `Arc<FrozenBase>`, plus its own
-/// counters. `ChainCtx` is `Send`, so chain segments execute on scoped
-/// worker threads; the owning context absorbs the counters afterwards
-/// via [`MappingContext::absorb_chains`].
-pub(crate) struct ChainCtx<'a> {
-    scene: Scene<'a>,
-    engine: EvalEngine,
-    counts: EngineCounts,
-    full_engine: bool,
-}
-
-impl ChainCtx<'_> {
-    /// Schedules and scores one design alternative on this chain's
-    /// private engine, counting one evaluation.
-    pub(crate) fn evaluate(&mut self, solution: &Solution) -> Result<Evaluation, SchedError> {
-        self.counts.evaluations += 1;
-        engine_evaluate(
-            &self.scene,
-            &mut self.engine,
-            &mut self.counts,
-            self.full_engine,
-            solution,
-        )
-    }
-
-    /// Re-derives an evaluation for exchange bookkeeping without
-    /// counting a design-space probe (the portfolio analogue of
-    /// [`MappingContext::evaluate_snapshot`]).
-    pub(crate) fn evaluate_snapshot(
-        &mut self,
-        solution: &Solution,
-    ) -> Result<Evaluation, SchedError> {
-        engine_evaluate(
-            &self.scene,
-            &mut self.engine,
-            &mut self.counts,
-            self.full_engine,
-            solution,
-        )
-    }
 }
 
 /// Compile-time pins for the guarantees the scoped-thread code relies
-/// on: the scene is shared immutably across workers, engines and
+/// on: the scene is shared immutably across workers, schedulers and
 /// results move between threads. (`thread::scope` would reject the code
 /// anyway — this states the contract in one place.)
 #[allow(dead_code)]
-fn parallel_safety_asserts(scene: Scene<'_>, engine: EvalEngine, chain: ChainCtx<'_>) {
+fn parallel_safety_asserts(scene: Scene<'_>, scheduler: Scheduler) {
     fn assert_send<T: Send>(_: T) {}
     fn assert_sync<T: Sync>(_: T) {}
     assert_sync(scene);
-    assert_send(engine);
-    assert_send(chain);
+    assert_send(scheduler);
     let _ = assert_send::<Result<Evaluation, SchedError>>;
 }
 
@@ -1507,26 +1363,80 @@ mod tests {
         // Degenerate inputs stay sane.
         assert_eq!(batch_worker_count(8, 100, 16, 0), 1);
         assert_eq!(batch_worker_count(0, 100, 0, 4), 1);
-        // Cutover 0 never collapses (`effective_batch_cutover` resolves
-        // the spec-level 0 to the default before this rule runs).
+        // Cutover 0 never collapses.
         assert_eq!(batch_worker_count(4, 1, 0, 4), 1); // min(jobs)
         assert_eq!(batch_worker_count(4, 2, 0, 4), 2);
     }
 
     #[test]
-    fn effective_batch_cutover_resolves_default() {
-        assert_eq!(SearchParallelism::Sequential.effective_batch_cutover(), 0);
-        assert_eq!(
-            SearchParallelism::threads(4).effective_batch_cutover(),
-            SearchParallelism::DEFAULT_BATCH_CUTOVER
-        );
-        let explicit = SearchParallelism::Parallel {
-            threads: 4,
-            batch_cutover: 7,
-            sa_chains: 1,
-            sa_exchange_period: 64,
+    fn batch_cutover_only_picks_the_dispatch_arm() {
+        // One batch — a memo hit, four distinct misses and an in-batch
+        // duplicate — evaluated with every miss forced inline (cutover
+        // `usize::MAX`) and with none inline (cutover 1, threads 4):
+        // the cutover may only change wall-clock, never a byte. (The
+        // spawning arm needs ≥ 2 hardware threads; on one core both
+        // runs take the inline arm and the test degenerates to
+        // determinism.)
+        let arch = arch2();
+        let mut g = ProcessGraph::new("g", Time::new(120), Time::new(120));
+        for name in ["a", "b", "c"] {
+            g.add_process(
+                Process::new(name)
+                    .wcet(PeId(0), Time::new(8))
+                    .wcet(PeId(1), Time::new(6)),
+            );
+        }
+        let app = Application::new("app", vec![g]);
+        let future = FutureProfile::slide_example();
+        let weights = Weights::default();
+        let on = |pes: [u32; 3]| {
+            let mut mapping = Mapping::new();
+            for (i, pe) in pes.into_iter().enumerate() {
+                mapping.assign(ProcRef::new(0, NodeId(i as u32)), PeId(pe));
+            }
+            Solution::from_mapping(mapping)
         };
-        assert_eq!(explicit.effective_batch_cutover(), 7);
+        let warm = on([0, 0, 0]);
+        let trials = [
+            warm.clone(),
+            on([1, 0, 0]),
+            on([0, 1, 0]),
+            on([0, 0, 1]),
+            on([1, 1, 0]),
+            on([0, 1, 0]),
+        ];
+        let run = |cutover: usize| {
+            let ctx = MappingContext::new(
+                &arch,
+                AppId(0),
+                &app,
+                None,
+                Time::new(120),
+                &future,
+                &weights,
+            );
+            ctx.evaluate(&warm).unwrap();
+            let before = counters::snapshot();
+            let results = ctx.evaluate_batch(&trials, 4, cutover);
+            let delta = counters::snapshot().delta_since(&before);
+            let costs: Vec<u64> = results
+                .iter()
+                .map(|r| r.as_ref().unwrap().cost.total.to_bits())
+                .collect();
+            let counts = (
+                ctx.evaluation_count(),
+                ctx.raw_schedule_count(),
+                ctx.memo_hit_count(),
+            );
+            (format!("{results:?}"), costs, counts, delta)
+        };
+        let inline = run(usize::MAX);
+        assert_eq!(
+            inline.2,
+            (7, 5, 2),
+            "1 warm-up + 4 misses run; 1 hit + 1 dup"
+        );
+        assert_eq!(inline, run(1));
     }
 
     #[test]

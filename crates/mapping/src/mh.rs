@@ -101,7 +101,8 @@ pub fn mapping_heuristic(
             let moves = candidate_moves(ctx, &current, &current_eval, &widened);
             // The round's fresh (not yet tried) moves, in candidate
             // order, evaluated as one batch: sequentially or over the
-            // context's worker pool, per its `SearchParallelism`. The
+            // context's worker pool, per its `SearchParallelism` (batches
+            // below the context's `BATCH_CUTOVER` misses run inline). The
             // reduction below walks the results in candidate-index
             // order with first-improving acceptance, so the committed
             // move is identical at any thread count.

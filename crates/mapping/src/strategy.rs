@@ -63,25 +63,6 @@ pub struct RunStats {
     pub spliced_steps: usize,
 }
 
-impl RunStats {
-    /// Combines the stats of two (sub-)runs: counters add, wall-clock
-    /// adds. `merge` is associative (and commutative), so totals folded
-    /// over per-worker or per-chain stats are independent of reduction
-    /// order — the property the parallel search paths rely on when they
-    /// absorb worker counters.
-    #[must_use]
-    pub fn merge(self, other: RunStats) -> RunStats {
-        RunStats {
-            evaluations: self.evaluations + other.evaluations,
-            iterations: self.iterations + other.iterations,
-            elapsed: self.elapsed + other.elapsed,
-            raw_schedules: self.raw_schedules + other.raw_schedules,
-            delta_schedules: self.delta_schedules + other.delta_schedules,
-            spliced_steps: self.spliced_steps + other.spliced_steps,
-        }
-    }
-}
-
 /// The result of running a strategy.
 #[derive(Debug, Clone)]
 pub struct Outcome {
@@ -224,21 +205,6 @@ mod tests {
         let sa = run_strategy(&ctx, &Strategy::SimulatedAnnealing(SaConfig::quick())).unwrap();
         assert!(mh.evaluation.cost.total <= ah.evaluation.cost.total + 1e-9);
         assert!(sa.evaluation.cost.total <= ah.evaluation.cost.total + 1e-9);
-    }
-
-    #[test]
-    fn run_stats_merge_is_associative() {
-        let stats = |k: usize| RunStats {
-            evaluations: k,
-            iterations: 2 * k + 1,
-            elapsed: Duration::from_micros(k as u64 * 37),
-            raw_schedules: k / 2,
-            delta_schedules: k / 3,
-            spliced_steps: 5 * k,
-        };
-        let (a, b, c) = (stats(3), stats(8), stats(21));
-        assert_eq!(a.merge(b).merge(c), a.merge(b.merge(c)));
-        assert_eq!(a.merge(b), b.merge(a));
     }
 
     #[test]

@@ -2,12 +2,11 @@
 //! same spec must produce the same bytes — solution, cost bits, every
 //! deterministic counter, the full campaign report — at any search
 //! thread count. Thread count is a wall-clock knob, never a semantic
-//! one; `sa_chains`/`sa_exchange_period` (which *do* change SA's
-//! trajectory) are held fixed while threads vary.
+//! one.
 
 use incdes::explore::{run_campaign, CampaignSpec};
 use incdes::mapping::{
-    run_strategy, MappingContext, MhConfig, RunStats, SaConfig, SearchParallelism, Strategy,
+    run_strategy, MappingContext, MhConfig, SaConfig, SearchParallelism, Strategy,
 };
 use incdes::prelude::*;
 use incdes::synth::{generate_application, generate_architecture, SynthConfig};
@@ -55,9 +54,9 @@ fn run_bytes(out: &incdes::mapping::Outcome) -> (String, u64, [usize; 5]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// MH (batched widening rounds) and SA (portfolio chains) produce
-    /// identical results — solution, cost bits, all counters — at
-    /// search thread counts 1, 2 and 8.
+    /// MH (batched widening rounds) and SA produce identical results
+    /// — solution, cost bits, all counters — at search thread counts
+    /// 1, 2 and 8.
     #[test]
     fn search_results_identical_across_thread_counts(
         seed in 0u64..2000,
@@ -78,14 +77,9 @@ proptest! {
             max_evaluations: 120,
             ..SaConfig::quick()
         });
-        let run = |threads: usize, batch_cutover: usize| {
+        let run = |threads: usize| {
             let ctx = MappingContext::new(&arch, AppId(0), &app, None, horizon, &future, &weights)
-                .with_parallelism(SearchParallelism::Parallel {
-                    threads,
-                    batch_cutover,
-                    sa_chains: 2,
-                    sa_exchange_period: 16,
-                });
+                .with_parallelism(SearchParallelism::threads(threads));
             let mh_out = run_strategy(&ctx, &mh);
             let sa_out = run_strategy(&ctx, &sa);
             match (mh_out, sa_out) {
@@ -93,13 +87,9 @@ proptest! {
                 _ => None, // overloaded instance: infeasible at every thread count below
             }
         };
-        let baseline = run(1, 0);
-        prop_assert_eq!(&baseline, &run(2, 0), "2 threads diverged from 1");
-        prop_assert_eq!(&baseline, &run(8, 0), "8 threads diverged from 1");
-        // The small-batch cutover multiplexes execution only: forcing
-        // every batch inline (max) or none (1) must not change a byte.
-        prop_assert_eq!(&baseline, &run(8, usize::MAX), "always-inline cutover diverged");
-        prop_assert_eq!(&baseline, &run(8, 1), "never-inline cutover diverged");
+        let baseline = run(1);
+        prop_assert_eq!(&baseline, &run(2), "2 threads diverged from 1");
+        prop_assert_eq!(&baseline, &run(8), "8 threads diverged from 1");
     }
 }
 
@@ -107,26 +97,21 @@ proptest! {
 /// {1, 2, 8}, reports compared as bytes.
 #[test]
 fn campaign_reports_byte_identical_across_search_thread_counts() {
-    let with_threads = |threads: usize, batch_cutover: usize| {
+    let with_threads = |threads: usize| {
         let mut spec = CampaignSpec::small_demo();
-        spec.parallelism = SearchParallelism::Parallel {
-            threads,
-            batch_cutover,
-            sa_chains: 2,
-            sa_exchange_period: 16,
-        };
+        spec.parallelism = SearchParallelism::threads(threads);
         run_campaign(&spec, 1)
             .expect("demo spec is valid")
             .report()
             .to_json_pretty()
             .expect("report serializes")
     };
-    let baseline = with_threads(1, 0);
-    for (threads, batch_cutover) in [(2, 0), (8, 0), (8, 1), (2, usize::MAX)] {
+    let baseline = with_threads(1);
+    for threads in [2, 8] {
         assert_eq!(
             baseline,
-            with_threads(threads, batch_cutover),
-            "search threads={threads}/cutover={batch_cutover} changed the campaign report"
+            with_threads(threads),
+            "search threads={threads} changed the campaign report"
         );
     }
 }
@@ -157,24 +142,4 @@ fn parallel_mh_matches_sequential_solution() {
     );
     assert_eq!(seq.stats.evaluations, par.stats.evaluations);
     assert_eq!(seq.stats.iterations, par.stats.iterations);
-}
-
-/// `RunStats::merge` folds per-worker tallies; order independence is
-/// what lets reductions happen in candidate-index order regardless of
-/// which worker finished first.
-#[test]
-fn run_stats_merge_folds_worker_tallies() {
-    let stats = |k: usize| RunStats {
-        evaluations: k,
-        iterations: k + 1,
-        elapsed: std::time::Duration::from_millis(k as u64),
-        raw_schedules: k / 2,
-        delta_schedules: k / 4,
-        spliced_steps: 3 * k,
-    };
-    let parts = [stats(2), stats(9), stats(4), stats(31)];
-    let forward = parts.iter().copied().reduce(RunStats::merge).unwrap();
-    let backward = parts.iter().rev().copied().reduce(RunStats::merge).unwrap();
-    assert_eq!(forward, backward);
-    assert_eq!(forward.evaluations, 2 + 9 + 4 + 31);
 }
