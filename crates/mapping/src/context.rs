@@ -565,6 +565,40 @@ impl EvalEngine {
         self.memo.retain(|e| e.stamp > cutoff);
         counters::add(Counter::MemoEvictions, (before - self.memo.len()) as u64);
     }
+
+    /// Memo probe: ticks the clock and, on a hit, re-stamps the entry,
+    /// counts the hit and returns a clone of its result. The stamp is
+    /// returned either way — a miss inserts under it.
+    fn memo_probe(
+        &mut self,
+        fp: u64,
+        key: &MemoKey,
+        counts: &mut EngineCounts,
+    ) -> (u64, Option<Result<Evaluation, SchedError>>) {
+        self.memo_clock += 1;
+        let stamp = self.memo_clock;
+        let hit = self.memo.get_mut(fp, key).map(|hit| {
+            hit.stamp = stamp;
+            counts.memo_hits += 1;
+            counters::bump(Counter::MemoHits);
+            hit.result.clone()
+        });
+        (stamp, hit)
+    }
+
+    /// Memoizes a missed evaluation under the stamp its probe assigned,
+    /// evicting the stale half first when the memo is full.
+    fn memo_remember(
+        &mut self,
+        fp: u64,
+        key: MemoKey,
+        result: Result<Evaluation, SchedError>,
+        stamp: u64,
+    ) {
+        self.evict_if_full();
+        self.memo.insert(fp, key, MemoEntry { result, stamp });
+        counters::bump(Counter::MemoInserts);
+    }
 }
 
 /// The immutable, thread-shareable view of one evaluation problem: the
@@ -628,30 +662,16 @@ fn engine_evaluate(
     let mut key = std::mem::take(&mut engine.key_scratch);
     key.assign(solution);
     let fp = fingerprint(&key);
-    engine.memo_clock += 1;
-    let stamp = engine.memo_clock;
-    if let Some(hit) = engine.memo.get_mut(fp, &key) {
-        hit.stamp = stamp;
-        counts.memo_hits += 1;
-        counters::bump(Counter::MemoHits);
-        let result = hit.result.clone();
+    let (stamp, hit) = engine.memo_probe(fp, &key, counts);
+    if let Some(result) = hit {
         engine.key_scratch = key;
         return result;
     }
     drop(lookup_scope);
     let result = engine_evaluate_raw(scene, engine, counts, full_engine, solution, &key);
     let _store_scope = phase::scope(Phase::Memo);
-    engine.evict_if_full();
-    engine.memo.insert(
-        fp,
-        key.clone(),
-        MemoEntry {
-            result: result.clone(),
-            stamp,
-        },
-    );
+    engine.memo_remember(fp, key.clone(), result.clone(), stamp);
     engine.key_scratch = key;
-    counters::bump(Counter::MemoInserts);
     result
 }
 
@@ -1045,15 +1065,11 @@ impl<'a> MappingContext<'a> {
         let mut scratch = std::mem::take(&mut engine.key_scratch);
         for (i, solution) in trials.iter().enumerate() {
             counts.evaluations += 1;
-            engine.memo_clock += 1;
-            let stamp = engine.memo_clock;
             scratch.assign(solution);
             let fp = fingerprint(&scratch);
-            if let Some(hit) = engine.memo.get_mut(fp, &scratch) {
-                hit.stamp = stamp;
-                counts.memo_hits += 1;
-                counters::bump(Counter::MemoHits);
-                out[i] = Some(hit.result.clone());
+            let (stamp, hit) = engine.memo_probe(fp, &scratch, &mut counts);
+            if hit.is_some() {
+                out[i] = hit;
                 plans.push(Plan::Hit);
                 continue;
             }
@@ -1192,16 +1208,12 @@ impl<'a> MappingContext<'a> {
                 Plan::Miss(m) => {
                     let miss = &mut misses[*m];
                     let result = out[i].clone().expect("miss evaluated in pass 2");
-                    engine.evict_if_full();
-                    engine.memo.insert(
+                    engine.memo_remember(
                         miss.fp,
                         std::mem::take(&mut miss.key),
-                        MemoEntry {
-                            result,
-                            stamp: miss.stamp,
-                        },
+                        result,
+                        miss.stamp,
                     );
-                    counters::bump(Counter::MemoInserts);
                 }
                 Plan::Dup(of, stamp, fp, key) => {
                     out[i] = out[*of].clone();

@@ -18,7 +18,8 @@
 //!   heap, a per-graph priority cache keyed by the node → PE assignment)
 //!   and schedules the *current* applications on top of a cheap reset of
 //!   the baked base — the **full-engine** path, retained as the oracle
-//!   for the tier below.
+//!   for the tier below. It is the delta run below with an empty
+//!   prefix: no record splices, so every job is placed.
 //! * [`Scheduler::schedule_delta_with_slack`] is **delta scheduling**:
 //!   every successful run records its placement sequence (pop order,
 //!   reservations, emitted messages, per-job heap entry/exit steps).
@@ -35,8 +36,9 @@
 //!
 //! # Delta-path decision rules
 //!
-//! [`Scheduler::schedule_delta_with_slack`] falls back to the full
-//! engine (reset from the base and schedule everything) whenever
+//! [`Scheduler::schedule_delta_with_slack`] runs with an empty prefix
+//! — the full engine's run: reset from the base and schedule
+//! everything — whenever
 //!
 //! * no record exists — first evaluation (a *failed* run is fine: the
 //!   partially processed step is rolled back, so the completed prefix
@@ -629,10 +631,9 @@ pub struct Scheduler {
     /// Record describing the live timelines (`timelines = base + live
     /// placements`) — the splice source of the next delta run.
     live: Option<RunRecord>,
-    /// Retired live record whose allocations seed the next delta run's
-    /// record: the delta path reads the live record until the run
-    /// ends, so the two records alternate and the steady state
-    /// allocates nothing.
+    /// Retired live record whose allocations seed the next run's
+    /// record: every run reads the live record until it ends, so the
+    /// two records alternate and the steady state allocates nothing.
     spare: Option<RunRecord>,
     /// Scratch: which jobs the prefix splice already popped.
     popped: Vec<bool>,
@@ -656,15 +657,13 @@ pub struct Scheduler {
     changed_pe: Vec<bool>,
     /// Whether the delta run changed any bus reservation.
     changed_bus: bool,
-    /// Whether the most recent run took the delta path.
-    last_run_delta: bool,
-    /// Slack storage of the *previous* run, consumed by `slack_profile`.
+    /// Slack storage of the live record a delta run spliced from,
+    /// consumed by `slack_profile`; `None` after any other run.
     prev_gap_arcs: Option<Arc<[GapList]>>,
     prev_bus_arc: Option<GapList>,
     raw_schedules: usize,
     delta_schedules: usize,
     spliced_steps: usize,
-    fresh_gap_lists: usize,
 }
 
 impl std::fmt::Debug for Scheduler {
@@ -700,15 +699,6 @@ impl Scheduler {
     /// across all delta runs (diagnostics for tests and benches).
     pub fn spliced_step_count(&self) -> usize {
         self.spliced_steps
-    }
-
-    /// Test probe: how many gap-list vectors the most recent slack
-    /// derivation materialized (everything else was `Arc`-aliased from
-    /// the frozen base or the previous run). Only meaningful after a
-    /// `*_with_slack` call.
-    #[doc(hidden)]
-    pub fn fresh_gap_list_count(&self) -> usize {
-        self.fresh_gap_lists
     }
 
     /// Which PEs the most recent run placed a new job on (indexed by
@@ -786,21 +776,6 @@ impl Scheduler {
     }
 
     /// [`schedule_delta_with_slack`](Self::schedule_delta_with_slack)
-    /// without the slack profile.
-    ///
-    /// # Errors
-    ///
-    /// As [`crate::schedule`].
-    pub fn schedule_delta(
-        &mut self,
-        arch: &Architecture,
-        apps: &[AppSpec<'_>],
-        base: &FrozenBase,
-    ) -> Result<ScheduleTable, SchedError> {
-        self.run(arch, apps, base, true, None)
-    }
-
-    /// [`schedule_delta_with_slack`](Self::schedule_delta_with_slack)
     /// with the solution diff supplied by the caller: `changed` must
     /// list **every** design variable (process mapping/gap hint, message
     /// slot hint) that differs from the previous call, in sorted order,
@@ -824,50 +799,6 @@ impl Scheduler {
         let table = self.run(arch, apps, base, true, Some(changed))?;
         let slack = self.slack_profile(base);
         Ok((table, slack))
-    }
-
-    fn run(
-        &mut self,
-        arch: &Architecture,
-        apps: &[AppSpec<'_>],
-        base: &FrozenBase,
-        try_delta: bool,
-        changed: Option<&[ChangedVar]>,
-    ) -> Result<ScheduleTable, SchedError> {
-        check_horizon(apps, base.horizon)?;
-        debug_assert_eq!(arch.pe_count(), base.pes.len(), "base built for this arch");
-        self.raw_schedules += 1;
-        self.last_run_delta = false;
-        self.prev_gap_arcs = None;
-        self.prev_bus_arc = None;
-        let splice = {
-            // Expansion and the record check count as splice work: they
-            // are the delta machinery's front-end regardless of path.
-            let _splice = phase::scope(Phase::Splice);
-            let patched = match changed {
-                Some(vars) => self.expand_incremental(arch, apps, base.horizon, vars)?,
-                None => false,
-            };
-            if patched {
-                counters::bump(Counter::ArenaPatched);
-            } else {
-                self.expand(arch, apps, base.horizon)?;
-                counters::bump(Counter::ArenaExpansions);
-            }
-            // The live record must apply — it is what the undo unwinds
-            // — or the run falls back to the full path.
-            try_delta
-                && self
-                    .live
-                    .as_ref()
-                    .is_some_and(|rec| self.record_applicable(rec, base))
-        };
-        match self.live.take() {
-            Some(live) if splice => self.run_delta(arch, apps, base, live),
-            // A stale record cannot splice, but its allocations are
-            // recycled into the new one.
-            old => self.run_full(arch, apps, base, old),
-        }
     }
 
     /// Whether `rec` can seed a delta run on `base` with the *current*
@@ -1229,127 +1160,58 @@ impl Scheduler {
         Ok(())
     }
 
-    /// The full-engine path: reset the timelines from the baked base and
-    /// place every job. `old` is a stale record whose allocations are
-    /// recycled into the new one.
-    fn run_full(
+    /// The one run path. When `try_delta` is set and the live record
+    /// applies to the current expansion, the live timelines hold
+    /// exactly `base + live placements`: the record's prefix up to the
+    /// divergence step is spliced, and the timelines are brought to that
+    /// prefix by undoing the live suffix in place or, when that walk is
+    /// the dearer one, by a rebase — a bulk reset from the baked base
+    /// plus a replay of the prefix, an exact reproduction because the
+    /// timeline and frame-tail state at every replayed step equals the
+    /// recorded run's state at that step. Any other run is a rebase with
+    /// an empty prefix: reset from the base and place every job.
+    fn run(
         &mut self,
         arch: &Architecture,
         apps: &[AppSpec<'_>],
         base: &FrozenBase,
-        old: Option<RunRecord>,
+        try_delta: bool,
+        changed: Option<&[ChangedVar]>,
     ) -> Result<ScheduleTable, SchedError> {
-        debug_assert!(self.live.is_none(), "caller took the old record");
-        let horizon = base.horizon;
-        let n = self.jobs.len();
-
-        let (mut steps, mut rec_msgs, mut pop_step, mut push_step, carcass) = recycle(old, n);
-
-        let Scheduler {
-            jobs,
-            ready,
-            preds_remaining,
-            graph_bases,
-            spec_offsets,
-            heap,
-            pes,
-            bus,
-            touched,
-            new_bus,
-            ..
-        } = self;
-
-        // --- Reset scratch from the baked base ---------------------------
-        // (the full path's analogue of the delta undo: bring the
-        // timelines back to `base`)
-        {
-            let _undo = phase::scope(Phase::Undo);
-            if pes.len() == base.pes.len() {
-                for (tl, b) in pes.iter_mut().zip(&base.pes) {
-                    tl.copy_from(b);
-                }
-            } else {
-                *pes = base.pes.clone();
-            }
-            match bus {
-                Some(b)
-                    if b.horizon() == horizon
-                        && b.occurrence_count() == base.bus.occurrence_count() =>
-                {
-                    b.reset_from(&base.bus);
-                }
-                _ => *bus = Some(base.bus.clone()),
-            }
-            touched.clear();
-            touched.resize(base.pes.len(), false);
-            new_bus.clear();
-        }
-        let bus = bus.as_mut().expect("just set");
-
-        let _replace = phase::scope(Phase::RePlace);
-        heap.clear();
-        let mut seeded = 0u64;
-        for (i, &p) in preds_remaining.iter().enumerate() {
-            if p == 0 {
-                push_step[i] = 0;
-                heap.push(ReadyEntry::of(jobs, ready, i));
-                seeded += 1;
-            }
-        }
-        counters::add(Counter::HeapPushes, seeded);
-
-        let run = schedule_loop(
-            arch,
-            apps,
-            jobs,
-            ready,
-            preds_remaining,
-            graph_bases,
-            spec_offsets,
-            heap,
-            pes,
-            bus,
-            touched,
-            new_bus,
-            &mut steps,
-            &mut rec_msgs,
-            &mut push_step,
-            &mut pop_step,
-        );
-
-        let table = run
-            .as_ref()
-            .ok()
-            .map(|()| self.assemble_table(base, &steps, &rec_msgs));
-        // A failed run's *completed* steps still satisfy the record
-        // invariant (the partial step was rolled back), so infeasible
-        // trials keep a splice source for the next evaluation.
-        self.store_record(base, steps, rec_msgs, pop_step, push_step, carcass);
-        run?;
-        Ok(table.expect("run succeeded"))
-    }
-
-    /// The delta path: the live record applies to the current
-    /// expansion, and the live timelines hold exactly `base + live
-    /// placements`. The record's prefix up to the divergence step is
-    /// spliced; the timelines are brought to that prefix by undoing the
-    /// live suffix in place or, when that walk is the dearer one, by a
-    /// rebase — a bulk reset from the baked base plus a replay of the
-    /// prefix, an exact reproduction because the timeline and
-    /// frame-tail state at every replayed step equals the recorded
-    /// run's state at that step.
-    fn run_delta(
-        &mut self,
-        arch: &Architecture,
-        apps: &[AppSpec<'_>],
-        base: &FrozenBase,
-        mut live: RunRecord,
-    ) -> Result<ScheduleTable, SchedError> {
-        let n = self.jobs.len();
-        let div = {
-            let _splice = phase::scope(Phase::Splice);
-            self.divergence(apps, &live)
+        check_horizon(apps, base.horizon)?;
+        debug_assert_eq!(arch.pe_count(), base.pes.len(), "base built for this arch");
+        self.raw_schedules += 1;
+        self.prev_gap_arcs = None;
+        self.prev_bus_arc = None;
+        // Expansion, the record check and the divergence scan count as
+        // splice work: they are the delta machinery's front-end.
+        let splice_scope = phase::scope(Phase::Splice);
+        let patched = match changed {
+            Some(vars) => self.expand_incremental(arch, apps, base.horizon, vars)?,
+            None => false,
         };
+        if patched {
+            counters::bump(Counter::ArenaPatched);
+        } else {
+            self.expand(arch, apps, base.horizon)?;
+            counters::bump(Counter::ArenaExpansions);
+        }
+        let n = self.jobs.len();
+        // The live record splices only when it applies — it is what the
+        // undo unwinds. Otherwise the run has an empty prefix, and the
+        // stale record only lends its allocations to the next run.
+        let live = self.live.take();
+        let splice = try_delta
+            && live
+                .as_ref()
+                .is_some_and(|rec| self.record_applicable(rec, base));
+        let mut live = live.unwrap_or_else(|| RunRecord::empty(&self.arena_tag));
+        let div = if splice {
+            self.divergence(apps, &live)
+        } else {
+            0
+        };
+        drop(splice_scope);
         // Two ways to bring the timelines to `base + live[0..div)`:
         // unwind the live suffix in place (cheap when the divergence is
         // late, as in raw mutation streams), or reset from the baked
@@ -1358,24 +1220,25 @@ impl Scheduler {
         // record, as in pivot/trial neighborhoods where a remap
         // re-weights the whole graph's priorities). The reset is priced
         // at a fraction of the per-step splice-out cost.
-        let rebase = live.steps.len() - div > div + base.jobs.len() / 16 + 2;
-        self.delta_schedules += 1;
-        self.spliced_steps += div;
-        if rebase {
-            counters::bump(Counter::DeltaRebases);
-            counters::add(Counter::SpliceStepsReplayed, div as u64);
-        } else {
-            counters::add(Counter::SpliceStepsUndone, (live.steps.len() - div) as u64);
+        let rebase = !splice || live.steps.len() - div > div + base.jobs.len() / 16 + 2;
+        if splice {
+            self.delta_schedules += 1;
+            self.spliced_steps += div;
+            if rebase {
+                counters::bump(Counter::DeltaRebases);
+                counters::add(Counter::SpliceStepsReplayed, div as u64);
+            } else {
+                counters::add(Counter::SpliceStepsUndone, (live.steps.len() - div) as u64);
+            }
+            counters::add(Counter::SpliceStepsSpliced, div as u64);
+            self.prev_gap_arcs = live.gap_arcs.take();
+            self.prev_bus_arc = live.bus_arc.take();
         }
-        counters::add(Counter::SpliceStepsSpliced, div as u64);
-        self.last_run_delta = true;
-        self.prev_gap_arcs = live.gap_arcs.take();
-        self.prev_bus_arc = live.bus_arc.take();
 
-        // Scratch recycled from the spare record (the live record
-        // retired by the previous delta run); its vectors become the
-        // carcass `store_record` refills below. The live record
-        // survives the run intact: it is the undo and splice source.
+        // Scratch recycled from the spare record (the record retired by
+        // the previous run); its vectors become the carcass
+        // `store_record` refills below. The live record survives the
+        // run intact: it is the undo and splice source.
         let mut spare = self
             .spare
             .take()
@@ -1401,10 +1264,9 @@ impl Scheduler {
             changed_bus,
             ..
         } = self;
-        let bus = bus.as_mut().expect("delta follows a recorded run");
 
         changed_pe.clear();
-        changed_pe.resize(pes.len(), false);
+        changed_pe.resize(base.pes.len(), false);
         *changed_bus = false;
 
         let replay_from = {
@@ -1414,20 +1276,37 @@ impl Scheduler {
                 // Every PE the wiped run had touched may end up with a
                 // different gap list, so its previous-profile alias is
                 // dead.
-                for step in live.steps.iter() {
-                    changed_pe[live.snap[step.job as usize].pe.index()] = true;
+                if splice {
+                    for step in live.steps.iter() {
+                        changed_pe[live.snap[step.job as usize].pe.index()] = true;
+                    }
+                    if !live.msgs.is_empty() {
+                        *changed_bus = true;
+                    }
                 }
-                if !live.msgs.is_empty() {
-                    *changed_bus = true;
+                // Timelines of another shape (a base with a different
+                // PE count, horizon or bus cycle) are cloned whole.
+                if pes.len() == base.pes.len() {
+                    for (tl, b) in pes.iter_mut().zip(&base.pes) {
+                        tl.copy_from(b);
+                    }
+                } else {
+                    *pes = base.pes.clone();
                 }
-                for (tl, b) in pes.iter_mut().zip(&base.pes) {
-                    tl.copy_from(b);
+                match bus {
+                    Some(b)
+                        if b.horizon() == base.horizon
+                            && b.occurrence_count() == base.bus.occurrence_count() =>
+                    {
+                        b.reset_from(&base.bus);
+                    }
+                    _ => *bus = Some(base.bus.clone()),
                 }
-                bus.reset_from(&base.bus);
                 0
             } else {
                 // --- Undo the live suffix (reverse order, frame tails
                 // unwind)
+                let bus = bus.as_mut().expect("an applicable record left a bus");
                 for step in live.steps[div..].iter().rev() {
                     for m in live.msgs[step.msg_lo as usize..step.msg_hi as usize]
                         .iter()
@@ -1443,6 +1322,9 @@ impl Scheduler {
                 div
             }
         };
+        let bus = bus
+            .as_mut()
+            .expect("the reset or the live record set the bus");
         let splice_scope = phase::scope(Phase::Splice);
 
         // --- Replay the prefix after a rebase -----------------------------
@@ -1574,22 +1456,25 @@ impl Scheduler {
             &mut pop_step,
         );
 
-        // Every suffix placement (or message) changes its resource
-        // (only consulted by the slack derivation, i.e. on success).
-        for step in &steps[div..] {
-            changed_pe[jobs[step.job as usize].pe.index()] = true;
-        }
-        if rec_msgs.len() > before_msgs {
-            *changed_bus = true;
+        // Every suffix placement (or message) changes its resource.
+        // Only the slack derivation of a spliced run consults this.
+        if splice {
+            for step in &steps[div..] {
+                changed_pe[jobs[step.job as usize].pe.index()] = true;
+            }
+            if rec_msgs.len() > before_msgs {
+                *changed_bus = true;
+            }
         }
 
         let table = run
             .as_ref()
             .ok()
             .map(|()| self.assemble_table(base, &steps, &rec_msgs));
-        // Completed steps of a failed run still satisfy the record
-        // invariant — see `run_full` for why that matters.
-        self.store_record(base, steps, rec_msgs, pop_step, push_step, Some(spare));
+        // A failed run's *completed* steps still satisfy the record
+        // invariant (the partial step was rolled back), so infeasible
+        // trials keep a splice source for the next evaluation.
+        self.store_record(base, steps, rec_msgs, pop_step, push_step, spare);
         // Retire the old live record: its allocations seed the next
         // run's record.
         self.spare = Some(live);
@@ -1694,9 +1579,9 @@ impl Scheduler {
     }
 
     /// Snapshots the finished run into `self.live` (the delta-splice
-    /// source for the next evaluation), recycling the previous record's
-    /// allocations: a steady-state evaluation snapshots with zero fresh
-    /// allocations. Oversized arenas are never recorded — `u32` step
+    /// source for the next evaluation), refilling `rec` — the spare
+    /// record — in place: a steady-state evaluation snapshots with zero
+    /// fresh allocations. Oversized arenas are never recorded — `u32` step
     /// indices cover every realistic horizon.
     fn store_record(
         &mut self,
@@ -1705,13 +1590,12 @@ impl Scheduler {
         msgs: Vec<ScheduledMessage>,
         pop_step: Vec<u32>,
         push_step: Vec<u32>,
-        carcass: Option<RunRecord>,
+        mut rec: RunRecord,
     ) {
         if self.jobs.len() >= u32::MAX as usize || msgs.len() >= u32::MAX as usize {
             self.live = None;
             return;
         }
-        let mut rec = carcass.unwrap_or_else(|| RunRecord::empty(&self.arena_tag));
         rec.base_id = base.id;
         rec.steps = steps;
         rec.msgs = msgs;
@@ -1739,28 +1623,17 @@ impl Scheduler {
         let _slack = phase::scope(Phase::Slack);
         let prev_gaps = self.prev_gap_arcs.take();
         let prev_bus = self.prev_bus_arc.take();
-        let mut fresh = 0usize;
         let mut pe_gaps: Vec<GapList> = Vec::with_capacity(self.pes.len());
         for i in 0..self.pes.len() {
             let arc = if !self.touched[i] {
                 counters::bump(Counter::SlackGapsAliased);
                 Arc::clone(&base.pe_gaps[i])
-            } else if self.last_run_delta && !self.changed_pe[i] {
-                match prev_gaps.as_ref() {
-                    // The PE kept every reservation of the previous run,
-                    // so the previous profile's list is bit-identical.
-                    Some(prev) => {
-                        counters::bump(Counter::SlackGapsAliased);
-                        Arc::clone(&prev[i])
-                    }
-                    None => {
-                        fresh += 1;
-                        counters::bump(Counter::SlackGapsMaterialized);
-                        self.pes[i].gap_iter().collect()
-                    }
-                }
+            } else if let Some(prev) = prev_gaps.as_ref().filter(|_| !self.changed_pe[i]) {
+                // The PE kept every reservation of the previous run, so
+                // the previous profile's list is bit-identical.
+                counters::bump(Counter::SlackGapsAliased);
+                Arc::clone(&prev[i])
             } else {
-                fresh += 1;
                 counters::bump(Counter::SlackGapsMaterialized);
                 self.pes[i].gap_iter().collect()
             };
@@ -1775,9 +1648,9 @@ impl Scheduler {
         let bus_arc = if self.new_bus.is_empty() {
             counters::bump(Counter::BusWindowsAliased);
             Arc::clone(&base.bus_windows)
-        } else if self.last_run_delta && !self.changed_bus && prev_bus.is_some() {
+        } else if let Some(prev) = prev_bus.filter(|_| !self.changed_bus) {
             counters::bump(Counter::BusWindowsAliased);
-            prev_bus.expect("just checked")
+            prev
         } else {
             // Every occurrence a new message landed in had free room, so
             // it appears in the baked window list; patching is a linear
@@ -1805,51 +1678,11 @@ impl Scheduler {
             windows.into()
         };
 
-        self.fresh_gap_lists = fresh;
         if let Some(rec) = &mut self.live {
             rec.gap_arcs = Some(Arc::clone(&pe_gaps));
             rec.bus_arc = Some(Arc::clone(&bus_arc));
         }
         SlackProfile::from_shared(base.horizon, pe_gaps, bus_arc)
-    }
-}
-
-/// Breaks a stale record into reusable bookkeeping vectors for the next
-/// run: steps/messages cleared, pop/push step maps refilled for `n`
-/// jobs, plus the carcass whose snapshot vectors `store_record` will
-/// recycle.
-#[allow(clippy::type_complexity)]
-fn recycle(
-    old: Option<RunRecord>,
-    n: usize,
-) -> (
-    Vec<StepRec>,
-    Vec<ScheduledMessage>,
-    Vec<u32>,
-    Vec<u32>,
-    Option<RunRecord>,
-) {
-    match old {
-        Some(mut rec) => {
-            let mut steps = std::mem::take(&mut rec.steps);
-            let mut msgs = std::mem::take(&mut rec.msgs);
-            let mut pop = std::mem::take(&mut rec.pop_step);
-            let mut push = std::mem::take(&mut rec.push_step);
-            steps.clear();
-            msgs.clear();
-            pop.clear();
-            pop.resize(n, u32::MAX);
-            push.clear();
-            push.resize(n, u32::MAX);
-            (steps, msgs, pop, push, Some(rec))
-        }
-        None => (
-            Vec::new(),
-            Vec::new(),
-            vec![u32::MAX; n],
-            vec![u32::MAX; n],
-            None,
-        ),
     }
 }
 
@@ -1867,11 +1700,11 @@ fn job_index(
     graph_bases[spec_offsets[si] + gi] + instance as usize * g.process_count() + node.index()
 }
 
-/// The list-scheduling loop shared by the full and delta paths: pops
-/// ready jobs from `heap` until none remain, reserving processor time
-/// and bus slots, appending to the output table vectors and the run
-/// record being built. The caller has already seeded the heap and (for
-/// the delta path) spliced the prefix.
+/// The list-scheduling loop of the scheduler's run path: pops ready
+/// jobs from `heap` until none remain, reserving processor time and bus
+/// slots, appending to the output table vectors and the run record
+/// being built. The caller has already spliced the prefix (empty on a
+/// full run) and seeded the heap.
 ///
 /// On failure the partially processed step is **rolled back** — its
 /// reservation and any messages it already placed are undone — so the
@@ -2362,7 +2195,9 @@ mod tests {
         let spec = AppSpec::new(AppId(1), &app, &mapping, &hints);
 
         let mut engine = Scheduler::new();
+        let before = counters::snapshot();
         let (_, slack) = engine.schedule_with_slack(&arch, &[spec], &base).unwrap();
+        let d = counters::snapshot().delta_since(&before);
         // PE1 untouched → its gap list is the base's storage, not a copy.
         assert!(Arc::ptr_eq(
             slack.gaps_shared(PeId(1)),
@@ -2377,7 +2212,11 @@ mod tests {
             slack.bus_windows_shared(),
             base.bus_windows_shared()
         ));
-        assert_eq!(engine.fresh_gap_list_count(), 1, "only PE0 materialized");
+        assert_eq!(
+            d.get(Counter::SlackGapsMaterialized),
+            1,
+            "only PE0 materialized"
+        );
     }
 
     #[test]

@@ -379,9 +379,10 @@ impl PeTimeline {
     }
 
     /// The free gaps `(start, end)` in time order, freshly allocated.
-    /// Compat/cold-path convenience — counted by the `fresh_gap_lists`
-    /// probe so hot paths that should use [`gap_iter`](Self::gap_iter)
-    /// or [`gaps_into`](Self::gaps_into) show up in diagnostics.
+    /// Compat/cold-path convenience — counted by
+    /// [`Counter::FreshGapLists`] so hot paths that should use
+    /// [`gap_iter`](Self::gap_iter) or [`gaps_into`](Self::gaps_into)
+    /// show up in diagnostics.
     pub fn gaps(&self) -> Vec<(Time, Time)> {
         counters::bump(Counter::FreshGapLists);
         self.gap_iter().collect()

@@ -12,9 +12,10 @@
 
 use incdes_graph::NodeId;
 use incdes_model::{
-    AppId, Application, Architecture, BusConfig, Message, PeId, Process, ProcessGraph, Time,
+    AppId, Application, Architecture, BusConfig, Message, PeId, ProcRef, Process, ProcessGraph,
+    Time,
 };
-use incdes_sched::engine::{FrozenBase, Scheduler};
+use incdes_sched::engine::{ChangedVar, FrozenBase, Scheduler};
 use incdes_sched::{schedule, AppSpec, Hints, Mapping, MsgRef, SlackProfile};
 use proptest::prelude::*;
 
@@ -211,5 +212,110 @@ proptest! {
         let (table, slack) = engine.schedule_with_slack(&arch, &[], &base).unwrap();
         prop_assert_eq!(table, frozen);
         prop_assert_eq!(slack, naive_slack);
+    }
+}
+
+/// 2 PEs, 10-tick slots, cycle 20.
+fn arch2() -> Architecture {
+    Architecture::builder()
+        .pe("N0")
+        .pe("N1")
+        .bus(BusConfig::uniform_round(2, Time::new(10), 1).unwrap())
+        .build()
+        .unwrap()
+}
+
+/// How one call of the base-switching drive below reaches the engine.
+#[derive(Debug, Clone, Copy)]
+enum Call {
+    Full,
+    Delta,
+    Hinted,
+}
+
+/// One `Scheduler` serves bases of different shapes: 2 PEs over 100
+/// ticks, 3 PEs over 480, then 2 PEs over 100 again. Every full run —
+/// and every delta run whose record was made on another base — resets
+/// the timelines from the base, cloning them whole when the PE count or
+/// the horizon differs. At each base the calls alternate full, delta and
+/// hinted delta over a chain of single remaps. Every call must match the
+/// one-shot oracle, no record may splice across a base switch, and a
+/// full run between two delta runs must leave a record the next delta
+/// run splices.
+#[test]
+fn one_scheduler_serves_bases_of_any_shape() {
+    let (a2, a3) = (arch2(), arch3());
+    let stages = [(&a2, 100u64, 2u32), (&a3, 480, 3), (&a2, 100, 2)];
+    let calls = [
+        Call::Delta,
+        Call::Full,
+        Call::Delta,
+        Call::Full,
+        Call::Hinted,
+        Call::Hinted,
+    ];
+    let mut engine = Scheduler::new();
+    for (stage, &(arch, ticks, pes)) in stages.iter().enumerate() {
+        let horizon = Time::new(ticks);
+        // A frozen single-process app on PE0, so every reset has frozen
+        // load to restore.
+        let mut fg = ProcessGraph::new("f", horizon, horizon);
+        let f = fg.add_process(Process::new("f").wcet(PeId(0), Time::new(7)));
+        let fapp = Application::new("frozen", vec![fg]);
+        let mut fmap = Mapping::new();
+        fmap.assign(ProcRef::new(0, f), PeId(0));
+        let fhints = Hints::empty();
+        let fspec = AppSpec::new(AppId(0), &fapp, &fmap, &fhints);
+        let frozen = schedule(arch, &[fspec], None, horizon).unwrap();
+        let base = FrozenBase::new(arch, Some(&frozen), horizon).unwrap();
+
+        // The current app: a fork a → {b, c}, one instance per horizon.
+        let g = build_graph(&[1, 2], &[3, 1, 2], &[0], &[2, 5], horizon);
+        let app = Application::new("current", vec![g]);
+        let hints = Hints::empty();
+        let mut mapping = Mapping::new();
+        for (pr, _) in app.processes() {
+            mapping.assign(pr, PeId(0));
+        }
+
+        for (step, &call) in calls.iter().enumerate() {
+            // Each step after the first remaps one process.
+            let node = NodeId((step % 3) as u32);
+            if step > 0 {
+                let pr = ProcRef::new(0, node);
+                let to = (mapping.pe_of(pr).unwrap().0 + 1) % pes;
+                mapping.assign(pr, PeId(to));
+            }
+            let spec = AppSpec::new(AppId(1), &app, &mapping, &hints);
+            let deltas = engine.delta_schedule_count();
+            let (table, slack) = match call {
+                Call::Full => engine.schedule_with_slack(arch, &[spec], &base),
+                Call::Delta => engine.schedule_delta_with_slack(arch, &[spec], &base),
+                // Hinted calls follow a step's single remap of `node`.
+                Call::Hinted => {
+                    let changed = [ChangedVar::Proc {
+                        spec: 0,
+                        graph: 0,
+                        node,
+                    }];
+                    engine.schedule_delta_hinted_with_slack(arch, &[spec], &base, &changed)
+                }
+            }
+            .unwrap();
+            let reference = schedule(arch, &[spec], Some(&frozen), horizon).unwrap();
+            let at = format!("stage {stage}, step {step} ({call:?})");
+            assert_eq!(table, reference, "{at}");
+            assert_eq!(slack, SlackProfile::from_table(arch, &reference), "{at}");
+            // A full run never splices, nor does the first run on a new
+            // base, whatever base the record came from. Any earlier run
+            // on this base, full runs included, leaves a record the next
+            // delta run splices.
+            let splices = step > 0 && !matches!(call, Call::Full);
+            assert_eq!(
+                engine.delta_schedule_count() - deltas,
+                usize::from(splices),
+                "{at}"
+            );
+        }
     }
 }
