@@ -53,7 +53,11 @@ use std::time::Duration;
 /// fingerprint-keyed record cache is gone), so
 /// `StepReport::delta_schedules` and `spliced_steps` changed for MH/SA
 /// scenarios.
-pub const CODE_EPOCH: u32 = 3;
+/// 4 — every raw schedule after a context's first takes the hinted
+/// delta path (no chain-length or changed-variable gate), so
+/// `StepReport::delta_schedules` and `spliced_steps` changed for MH/SA
+/// scenarios.
+pub const CODE_EPOCH: u32 = 4;
 
 /// The canonical, serializable identity of one scenario. Field order is
 /// fixed by this struct, so the fingerprint JSON is stable.
@@ -570,7 +574,7 @@ mod tests {
         let key = scenario_store_key(&spec, &spec.scenarios()[0]).unwrap();
         assert_eq!(
             key.hex(),
-            "2a041658b6d4f3a1448c275bf542cd7277ce4d73e73cce6a30d948fdf4881db7"
+            "45f25b027fd3bfd6c965c09f779772c3933b1cc85fcab2c38bc20a40fc8d9de3"
         );
     }
 

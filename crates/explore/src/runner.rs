@@ -328,15 +328,8 @@ pub fn run_campaign(spec: &CampaignSpec, workers: usize) -> Result<CampaignRun, 
 }
 
 /// How many times a panicked scenario is re-attempted before being
-/// quarantined: `INCDES_SCENARIO_RETRIES` when set (validated through
-/// `incdes_obs::diag::env_usize`), 1 otherwise.
-fn scenario_retry_budget() -> usize {
-    incdes_obs::diag::env_usize(
-        "INCDES_SCENARIO_RETRIES",
-        "re-attempts per panicked scenario",
-    )
-    .unwrap_or(1)
-}
+/// quarantined.
+const SCENARIO_RETRIES: usize = 1;
 
 /// Executes the given scenarios over a pool of `workers` threads and
 /// returns their outcomes in arbitrary order. Shared by the plain and
@@ -417,7 +410,7 @@ pub(crate) fn run_scenario_isolated(
     env: &CampaignEnv,
     key: &ScenarioKey,
 ) -> ScenarioOutcome {
-    let attempts_allowed = 1 + scenario_retry_budget();
+    let attempts_allowed = 1 + SCENARIO_RETRIES;
     let mut last_panic = String::new();
     for attempt in 1..=attempts_allowed {
         if attempt > 1 {
@@ -864,7 +857,7 @@ mod tests {
             "panic identity names the scenario: {}",
             failures[0].panic_message
         );
-        assert!(failures[0].attempts >= 2, "the default budget retries once");
+        assert_eq!(failures[0].attempts, 2, "the budget retries once");
         assert_eq!(run.completed().count(), 3);
         // The report carries exactly the completed scenarios.
         assert_eq!(run.report().scenarios.len(), 3);

@@ -13,16 +13,12 @@
 //!   ready heap, per-graph priority cache) across evaluations;
 //! * **delta scheduling**: the context keeps the solution key of its
 //!   last raw schedule — the *live* solution, which the scheduler's job
-//!   arena and live run record describe. When a candidate differs from
-//!   it by at most [`DELTA_MAX_CHANGED_VARS`] design variables (the
-//!   single-move neighbors MH and SA explore, plus the two-move
-//!   distance between consecutive trials proposed from one pivot), the
-//!   engine patches the arena with exactly those variables and splices
-//!   the live record's unchanged prefix; any other candidate takes the
-//!   full path. Delta only engages after [`DELTA_MIN_CHAIN`] raw
-//!   schedules: shorter runs (AH's two-candidate probes) can never
-//!   amortize the record bookkeeping. See the decision rules in
-//!   `incdes_sched::engine`;
+//!   arena and live run record describe. Every raw schedule diffs the
+//!   candidate's key against it and hands the changed design variables
+//!   to the engine, which patches the arena with exactly those
+//!   variables and splices the live record's unchanged prefix (the
+//!   first raw schedule has no live solution and expands in full). See
+//!   the decision rules in `incdes_sched::engine`;
 //! * the slack profiles are `Arc`-backed, so untouched resources alias
 //!   the frozen base's (or the previous evaluation's) gap lists, and
 //!   the per-resource C2 terms ([`incdes_metrics::C2Cache`]) plus the
@@ -193,12 +189,6 @@ pub struct Evaluation {
 /// full `Evaluation` clones. The delta gate's live key lives outside
 /// the memo, so eviction never disengages delta scheduling.
 const MEMO_CAP: usize = 512;
-
-/// Minimum number of raw schedules in a context's lifetime before the
-/// delta-splice path engages. A two-evaluation probe (AH scoring each
-/// PE once) pays the record bookkeeping on the first run and then never
-/// amortizes it; short chains take the plain full-engine path.
-pub const DELTA_MIN_CHAIN: usize = 3;
 
 /// Canonical identity of a design alternative: the full mapping plus all
 /// non-zero hints, in deterministic order. Two solutions with the same
@@ -412,28 +402,11 @@ impl std::hash::Hasher for FxHasher {
 
 type FxBuild = std::hash::BuildHasherDefault<FxHasher>;
 
-/// Largest number of changed design variables (mapping entries + gap
-/// hints + slot hints, counted as a symmetric difference) for which the
-/// delta-scheduling path is attempted. A remap touches at most two
-/// variables (the mapping entry plus its reset gap hint), so 4 covers
-/// two design transformations — the distance between consecutive SA/MH
-/// trials proposed from one pivot solution (undo the rejected move,
-/// apply the next). Larger diffs take the full-engine path.
-pub const DELTA_MAX_CHANGED_VARS: usize = 4;
-
 /// Walks the symmetric difference of two sorted key→value slices,
-/// invoking `on_diff` for every differing key; gives up (returns
-/// `false`) as soon as more than `cap` differences accumulate in
-/// `count`. A plain two-pointer walk: the delta gate runs it on every
-/// raw schedule, so the per-element cost is on the strategy critical
-/// path.
-fn sym_diff<K: Ord + Copy, V: PartialEq>(
-    a: &[(K, V)],
-    b: &[(K, V)],
-    cap: usize,
-    count: &mut usize,
-    mut on_diff: impl FnMut(K),
-) -> bool {
+/// invoking `on_diff` for every differing key. A plain two-pointer
+/// walk: every raw schedule runs it, so the per-element cost is on the
+/// strategy critical path.
+fn sym_diff<K: Ord + Copy, V: PartialEq>(a: &[(K, V)], b: &[(K, V)], mut on_diff: impl FnMut(K)) {
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
         let (ka, va) = &a[i];
@@ -456,71 +429,39 @@ fn sym_diff<K: Ord + Copy, V: PartialEq>(
                 *kb
             }
         };
-        *count += 1;
-        if *count > cap {
-            return false;
-        }
         on_diff(k);
     }
     for &(k, _) in a[i..].iter().chain(&b[j..]) {
-        *count += 1;
-        if *count > cap {
-            return false;
-        }
         on_diff(k);
     }
-    true
 }
 
 /// Collects the design variables differing between two solution keys
 /// into `vars` (sorted, deduplicated, ready for
-/// `Scheduler::schedule_delta_hinted_with_slack`). Returns `false`
-/// (leaving `vars` unspecified) when more than `cap` variables differ;
-/// the caller then takes the full-engine path. Both keys store their
-/// variables sorted, so this is a linear slice walk.
-fn collect_key_delta(
-    prev: &MemoKey,
-    cur: &MemoKey,
-    cap: usize,
-    vars: &mut Vec<ChangedVar>,
-) -> bool {
+/// `Scheduler::schedule_delta_hinted_with_slack`). Both keys store
+/// their variables sorted, so this is a linear slice walk.
+fn collect_key_delta(prev: &MemoKey, cur: &MemoKey, vars: &mut Vec<ChangedVar>) {
     vars.clear();
-    let mut count = 0usize;
     let proc_var = |word: u64| ChangedVar::Proc {
         spec: 0,
         graph: (word >> 32) as usize,
         node: NodeId(word as u32),
     };
-    if !sym_diff(prev.mapping(), cur.mapping(), cap, &mut count, |k| {
+    sym_diff(prev.mapping(), cur.mapping(), |k| vars.push(proc_var(k)));
+    sym_diff(prev.proc_gaps(), cur.proc_gaps(), |k| {
         vars.push(proc_var(k))
-    }) {
-        return false;
-    }
-    if !sym_diff(prev.proc_gaps(), cur.proc_gaps(), cap, &mut count, |k| {
-        vars.push(proc_var(k))
-    }) {
-        return false;
-    }
-    if !sym_diff(
-        prev.msg_slots(),
-        cur.msg_slots(),
-        cap,
-        &mut count,
-        |word: u64| {
-            vars.push(ChangedVar::Msg {
-                spec: 0,
-                graph: (word >> 32) as usize,
-                edge: EdgeId(word as u32),
-            })
-        },
-    ) {
-        return false;
-    }
+    });
+    sym_diff(prev.msg_slots(), cur.msg_slots(), |word: u64| {
+        vars.push(ChangedVar::Msg {
+            spec: 0,
+            graph: (word >> 32) as usize,
+            edge: EdgeId(word as u32),
+        })
+    });
     // A remap and its hint reset touch the same process twice; the
     // engine wants each variable once, in expansion order.
     vars.sort_unstable();
     vars.dedup();
-    true
 }
 
 /// The per-context evaluation engine state: baked frozen base, scheduler
@@ -713,34 +654,33 @@ fn engine_evaluate_raw(
     };
     counts.raw_schedules += 1;
 
-    // Delta gate: once the chain is long enough to amortize record
-    // bookkeeping, a candidate within `DELTA_MAX_CHANGED_VARS` of the
-    // live solution takes the hinted delta path (arena patch plus
-    // live-record splice). Everything else (short chains, big jumps,
-    // `with_full_evaluation`) resets from the base.
-    let gate_scope = phase::scope(Phase::Splice);
-    let delta = !full_engine
-        && counts.raw_schedules >= DELTA_MIN_CHAIN
-        && live_key
-            .as_ref()
-            .is_some_and(|live| collect_key_delta(live, key, DELTA_MAX_CHANGED_VARS, vars_scratch));
-    drop(gate_scope);
-    let run = if delta {
-        scheduler.schedule_delta_hinted_with_slack(scene.arch, &[spec], base, vars_scratch)
-    } else {
+    // Delta gate: every raw schedule hands the engine its diff against
+    // the live solution, so the arena is patched with exactly those
+    // variables and the live record's unchanged prefix is spliced. The
+    // first raw schedule has no live solution: the empty list meets a
+    // fresh arena and an absent record, so it expands in full and runs
+    // with an empty prefix. The full-engine tier resets from the base.
+    let run = if full_engine {
         scheduler.schedule_with_slack(scene.arch, &[spec], base)
-    };
-    // Successful or not, the engine's live record now describes this
-    // solution (failed runs keep their completed prefix as a splice
-    // source), so future candidates diff against it. The full-engine
-    // tier never consults the key and skips the bookkeeping.
-    if !full_engine {
+    } else {
+        let gate_scope = phase::scope(Phase::Splice);
+        match live_key.as_ref() {
+            Some(live) => collect_key_delta(live, key, vars_scratch),
+            None => vars_scratch.clear(),
+        }
+        drop(gate_scope);
+        let run =
+            scheduler.schedule_delta_hinted_with_slack(scene.arch, &[spec], base, vars_scratch);
+        // Successful or not, the engine's live record now describes
+        // this solution (failed runs keep their completed prefix as a
+        // splice source), so future candidates diff against it.
         let _bookkeeping_scope = phase::scope(Phase::Splice);
         match live_key {
             Some(live) => live.clone_from(key),
             None => *live_key = Some(key.clone()),
         }
-    }
+        run
+    };
     let (table, slack) = run?;
     // C2 terms: gap lists aliased from the frozen base (untouched
     // PEs) or the previous evaluation (PEs unchanged by the delta)
@@ -1249,13 +1189,40 @@ mod tests {
     use incdes_model::prelude::*;
     use incdes_sched::Mapping;
 
-    fn arch2() -> Architecture {
-        Architecture::builder()
-            .pe("N1")
-            .pe("N2")
-            .bus(BusConfig::uniform_round(2, Time::new(10), 1).unwrap())
-            .build()
-            .unwrap()
+    /// Two PEs, slide-example future profile, default weights: the
+    /// inputs every context below shares.
+    struct TestBed {
+        arch: Architecture,
+        future: FutureProfile,
+        weights: Weights,
+    }
+
+    impl TestBed {
+        fn new() -> Self {
+            TestBed {
+                arch: Architecture::builder()
+                    .pe("N1")
+                    .pe("N2")
+                    .bus(BusConfig::uniform_round(2, Time::new(10), 1).unwrap())
+                    .build()
+                    .unwrap(),
+                future: FutureProfile::slide_example(),
+                weights: Weights::default(),
+            }
+        }
+
+        /// A context for `app` on an empty system with the given horizon.
+        fn context<'a>(&'a self, app: &'a Application, horizon: u64) -> MappingContext<'a> {
+            MappingContext::new(
+                &self.arch,
+                AppId(0),
+                app,
+                None,
+                Time::new(horizon),
+                &self.future,
+                &self.weights,
+            )
+        }
     }
 
     fn one_proc_app() -> Application {
@@ -1264,21 +1231,33 @@ mod tests {
         Application::new("app", vec![g])
     }
 
+    /// `n` independent processes, each allowed on both PEs.
+    fn two_pe_app(n: usize) -> Application {
+        let mut g = ProcessGraph::new("g", Time::new(120), Time::new(120));
+        for i in 0..n {
+            g.add_process(
+                Process::new(format!("p{i}"))
+                    .wcet(PeId(0), Time::new(8))
+                    .wcet(PeId(1), Time::new(6)),
+            );
+        }
+        Application::new("app", vec![g])
+    }
+
+    /// The mapping that puts process `i` on `pes[i]`.
+    fn on(pes: &[u32]) -> Solution {
+        let mut mapping = Mapping::new();
+        for (i, &pe) in pes.iter().enumerate() {
+            mapping.assign(ProcRef::new(0, NodeId(i as u32)), PeId(pe));
+        }
+        Solution::from_mapping(mapping)
+    }
+
     #[test]
     fn evaluate_counts_and_scores() {
-        let arch = arch2();
+        let bed = TestBed::new();
         let app = one_proc_app();
-        let future = FutureProfile::slide_example();
-        let weights = Weights::default();
-        let ctx = MappingContext::new(
-            &arch,
-            AppId(0),
-            &app,
-            None,
-            Time::new(120),
-            &future,
-            &weights,
-        );
+        let ctx = bed.context(&app, 120);
         let mut mapping = Mapping::new();
         mapping.assign(ProcRef::new(0, NodeId(0)), PeId(0));
         let sol = Solution::from_mapping(mapping);
@@ -1294,31 +1273,10 @@ mod tests {
         // Evaluate A, B, A: exactly one memo hit (the revisit) and two
         // inserts (the distinct solutions), pinned through the
         // deterministic counter registry.
-        let arch = arch2();
-        let mut g = ProcessGraph::new("g", Time::new(120), Time::new(120));
-        g.add_process(
-            Process::new("a")
-                .wcet(PeId(0), Time::new(8))
-                .wcet(PeId(1), Time::new(6)),
-        );
-        let app = Application::new("app", vec![g]);
-        let future = FutureProfile::slide_example();
-        let weights = Weights::default();
-        let ctx = MappingContext::new(
-            &arch,
-            AppId(0),
-            &app,
-            None,
-            Time::new(120),
-            &future,
-            &weights,
-        );
-        let mut map_a = Mapping::new();
-        map_a.assign(ProcRef::new(0, NodeId(0)), PeId(0));
-        let sol_a = Solution::from_mapping(map_a);
-        let mut map_b = Mapping::new();
-        map_b.assign(ProcRef::new(0, NodeId(0)), PeId(1));
-        let sol_b = Solution::from_mapping(map_b);
+        let bed = TestBed::new();
+        let app = two_pe_app(1);
+        let ctx = bed.context(&app, 120);
+        let (sol_a, sol_b) = (on(&[0]), on(&[1]));
 
         let before = counters::snapshot();
         ctx.evaluate(&sol_a).unwrap();
@@ -1335,21 +1293,11 @@ mod tests {
 
     #[test]
     fn evaluate_surfaces_infeasibility() {
-        let arch = arch2();
+        let bed = TestBed::new();
         let mut g = ProcessGraph::new("g", Time::new(120), Time::new(4));
         g.add_process(Process::new("a").wcet(PeId(0), Time::new(8)));
         let app = Application::new("app", vec![g]);
-        let future = FutureProfile::slide_example();
-        let weights = Weights::default();
-        let ctx = MappingContext::new(
-            &arch,
-            AppId(0),
-            &app,
-            None,
-            Time::new(120),
-            &future,
-            &weights,
-        );
+        let ctx = bed.context(&app, 120);
         let mut mapping = Mapping::new();
         mapping.assign(ProcRef::new(0, NodeId(0)), PeId(0));
         let err = ctx.evaluate(&Solution::from_mapping(mapping)).unwrap_err();
@@ -1389,44 +1337,19 @@ mod tests {
         // spawning arm needs ≥ 2 hardware threads; on one core both
         // runs take the inline arm and the test degenerates to
         // determinism.)
-        let arch = arch2();
-        let mut g = ProcessGraph::new("g", Time::new(120), Time::new(120));
-        for name in ["a", "b", "c"] {
-            g.add_process(
-                Process::new(name)
-                    .wcet(PeId(0), Time::new(8))
-                    .wcet(PeId(1), Time::new(6)),
-            );
-        }
-        let app = Application::new("app", vec![g]);
-        let future = FutureProfile::slide_example();
-        let weights = Weights::default();
-        let on = |pes: [u32; 3]| {
-            let mut mapping = Mapping::new();
-            for (i, pe) in pes.into_iter().enumerate() {
-                mapping.assign(ProcRef::new(0, NodeId(i as u32)), PeId(pe));
-            }
-            Solution::from_mapping(mapping)
-        };
-        let warm = on([0, 0, 0]);
+        let bed = TestBed::new();
+        let app = two_pe_app(3);
+        let warm = on(&[0, 0, 0]);
         let trials = [
             warm.clone(),
-            on([1, 0, 0]),
-            on([0, 1, 0]),
-            on([0, 0, 1]),
-            on([1, 1, 0]),
-            on([0, 1, 0]),
+            on(&[1, 0, 0]),
+            on(&[0, 1, 0]),
+            on(&[0, 0, 1]),
+            on(&[1, 1, 0]),
+            on(&[0, 1, 0]),
         ];
         let run = |cutover: usize| {
-            let ctx = MappingContext::new(
-                &arch,
-                AppId(0),
-                &app,
-                None,
-                Time::new(120),
-                &future,
-                &weights,
-            );
+            let ctx = bed.context(&app, 120);
             ctx.evaluate(&warm).unwrap();
             let before = counters::snapshot();
             let results = ctx.evaluate_batch(&trials, 4, cutover);
@@ -1452,20 +1375,50 @@ mod tests {
     }
 
     #[test]
+    fn every_raw_schedule_after_the_first_takes_the_delta_path() {
+        let bed = TestBed::new();
+        let app = two_pe_app(8);
+        let ctx = bed.context(&app, 120);
+        let naive = bed.context(&app, 120).with_naive_evaluation();
+        // Evaluates `sol` on both contexts, asserts bit-identical
+        // results and returns the counters bumped by `ctx` alone.
+        let same_as_naive = |sol: &Solution| {
+            let before = counters::snapshot();
+            let a = ctx.evaluate(sol).unwrap();
+            let d = counters::snapshot().delta_since(&before);
+            let b = naive.evaluate(sol).unwrap();
+            assert_eq!(a.table, b.table);
+            assert_eq!(a.slack, b.slack);
+            assert_eq!(a.cost, b.cost);
+            assert_eq!(a.cost.total.to_bits(), b.cost.total.to_bits());
+            d
+        };
+
+        // The first raw schedule has no live solution: full expansion,
+        // empty prefix.
+        let d = same_as_naive(&on(&[0; 8]));
+        assert_eq!(d.get(Counter::ArenaExpansions), 1);
+        assert_eq!(d.get(Counter::ArenaPatched), 0);
+        assert_eq!(ctx.delta_schedule_count(), 0);
+
+        // The second one already splices: no chain-length gate.
+        same_as_naive(&on(&[1, 0, 0, 0, 0, 0, 0, 0]));
+        assert_eq!(ctx.delta_schedule_count(), 1);
+
+        // A seven-variable jump still patches the arena: no cap on the
+        // diff size.
+        let d = same_as_naive(&on(&[0, 1, 1, 1, 1, 1, 1, 0]));
+        assert_eq!(d.get(Counter::ArenaPatched), 1);
+        assert_eq!(d.get(Counter::ArenaExpansions), 0);
+        assert_eq!(ctx.delta_schedule_count(), 2);
+        assert_eq!(ctx.raw_schedule_count(), 3);
+    }
+
+    #[test]
     fn memo_eviction_drops_the_stale_half_and_keeps_delta_engaged() {
-        let arch = arch2();
+        let bed = TestBed::new();
         let app = one_proc_app();
-        let future = FutureProfile::slide_example();
-        let weights = Weights::default();
-        let ctx = MappingContext::new(
-            &arch,
-            AppId(0),
-            &app,
-            None,
-            Time::new(120),
-            &future,
-            &weights,
-        );
+        let ctx = bed.context(&app, 120);
         let pr = ProcRef::new(0, NodeId(0));
         let mut mapping = Mapping::new();
         mapping.assign(pr, PeId(0));

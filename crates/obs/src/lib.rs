@@ -17,13 +17,11 @@
 //!   and memo lookup), aggregated into per-phase log₂-nanosecond
 //!   histograms, with an optional [`trace`] capture that renders a
 //!   `chrome://tracing`-compatible timeline of one evaluation chain.
-//!   The timers are compiled only under the `obs-wallclock` cargo
-//!   feature and armed only after [`phase::set_enabled`]`(true)`, so a
-//!   default build pays nothing and a feature build pays one relaxed
-//!   atomic load per scope while disabled.
+//!   The timers are armed only after [`phase::set_enabled`]`(true)`;
+//!   while disarmed a scope costs one relaxed atomic load.
 //!
 //! [`diag`] carries the shared warn-once stderr channel and the checked
-//! env-var parsing the `INCDES_*` overrides use.
+//! env-var parsing of the `INCDES_SEARCH_THREADS` override.
 //!
 //! Nothing in this crate writes to stdout: all output goes to stderr or
 //! to side files chosen by the caller, which is what keeps the

@@ -5,20 +5,13 @@
 //! per-phase aggregate (count / total / min / max / log₂-ns histogram)
 //! and, when a [`crate::trace`] capture is live, appends a trace event.
 //!
-//! The timers only exist under the `obs-wallclock` cargo feature; a
-//! default build compiles [`PhaseScope`] to a zero-sized no-op. Even
-//! with the feature on, scopes are disarmed until
-//! [`set_enabled`]`(true)` — one relaxed atomic load decides — so
-//! instrumented hot paths cost nothing measurable in ordinary runs.
-//!
-//! The aggregate/snapshot types are compiled unconditionally so callers
-//! (bench tables, campaign profiles) have one API regardless of the
-//! feature: without it every snapshot is simply all-zero.
+//! Scopes are disarmed until [`set_enabled`]`(true)` — one relaxed
+//! atomic load decides — so instrumented hot paths cost nothing
+//! measurable in ordinary runs; a disarmed plane leaves every snapshot
+//! all-zero.
 
 use std::cell::RefCell;
-#[cfg(feature = "obs-wallclock")]
 use std::sync::atomic::{AtomicBool, Ordering};
-#[cfg(feature = "obs-wallclock")]
 use std::time::Instant;
 
 macro_rules! phases {
@@ -72,7 +65,6 @@ phases! {
 /// the last bucket (≈ 9 minutes and beyond).
 pub const HIST_BUCKETS: usize = 40;
 
-#[cfg_attr(not(any(feature = "obs-wallclock", test)), allow(dead_code))]
 fn bucket(ns: u64) -> usize {
     ((64 - ns.leading_zeros()) as usize).min(HIST_BUCKETS - 1)
 }
@@ -105,7 +97,6 @@ impl Default for PhaseAgg {
 }
 
 impl PhaseAgg {
-    #[cfg_attr(not(any(feature = "obs-wallclock", test)), allow(dead_code))]
     fn record(&mut self, ns: u64) {
         self.count += 1;
         self.total_ns = self.total_ns.wrapping_add(ns);
@@ -124,69 +115,40 @@ thread_local! {
         RefCell::new([PhaseAgg::default(); PHASE_COUNT]);
 }
 
-#[cfg(feature = "obs-wallclock")]
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Arms (or disarms) the timer plane process-wide. A no-op without the
-/// `obs-wallclock` feature.
-#[cfg(feature = "obs-wallclock")]
+/// Arms (or disarms) the timer plane process-wide.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Arms (or disarms) the timer plane process-wide. A no-op without the
-/// `obs-wallclock` feature.
-#[cfg(not(feature = "obs-wallclock"))]
-pub fn set_enabled(_on: bool) {}
-
-/// Whether the timer plane is armed. Always `false` without the
-/// `obs-wallclock` feature.
-#[cfg(feature = "obs-wallclock")]
+/// Whether the timer plane is armed.
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Whether the timer plane is armed. Always `false` without the
-/// `obs-wallclock` feature.
-#[cfg(not(feature = "obs-wallclock"))]
-pub fn enabled() -> bool {
-    false
-}
-
 /// An RAII phase timer: records on drop when armed, otherwise inert.
-/// Zero-sized without the `obs-wallclock` feature.
 #[must_use = "a phase scope times until it is dropped"]
 pub struct PhaseScope {
-    #[cfg(feature = "obs-wallclock")]
     armed: Option<(Phase, Instant)>,
 }
 
 /// Opens a timer scope for `phase`.
 #[inline]
 pub fn scope(phase: Phase) -> PhaseScope {
-    #[cfg(feature = "obs-wallclock")]
-    {
-        PhaseScope {
-            armed: enabled().then(|| (phase, Instant::now())),
-        }
-    }
-    #[cfg(not(feature = "obs-wallclock"))]
-    {
-        let _ = phase;
-        PhaseScope {}
+    PhaseScope {
+        armed: enabled().then(|| (phase, Instant::now())),
     }
 }
 
 impl Drop for PhaseScope {
     fn drop(&mut self) {
-        #[cfg(feature = "obs-wallclock")]
         if let Some((phase, start)) = self.armed.take() {
             record(phase, start);
         }
     }
 }
 
-#[cfg(feature = "obs-wallclock")]
 fn record(phase: Phase, start: Instant) {
     let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
     let _ = AGGS.try_with(|aggs| aggs.borrow_mut()[phase as usize].record(ns));
@@ -362,7 +324,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "obs-wallclock")]
     #[test]
     fn armed_scope_records_on_this_thread() {
         // Run on a dedicated thread so other tests' scopes (same

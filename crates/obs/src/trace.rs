@@ -5,9 +5,8 @@
 //!
 //! Capture is single-consumer by design: [`start`] clears the calling
 //! thread's buffer and arms capture process-wide, [`stop`] disarms and
-//! drains the calling thread's events. Only scopes that ran while a
-//! capture was live (and the `obs-wallclock` feature compiled the
-//! timers) produce events.
+//! drains the calling thread's events. Only armed scopes that ran
+//! while a capture was live produce events.
 
 use crate::phase::Phase;
 use std::cell::RefCell;
@@ -54,7 +53,6 @@ pub fn stop() -> Vec<TraceEvent> {
 
 /// Appends a completed scope when a capture is live. Called by the
 /// phase plane on scope drop.
-#[cfg_attr(not(feature = "obs-wallclock"), allow(dead_code))]
 pub(crate) fn note(phase: Phase, start: Instant, dur_ns: u64) {
     if !TRACING.load(Ordering::Relaxed) {
         return;

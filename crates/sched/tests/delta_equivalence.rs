@@ -4,9 +4,9 @@
 //! recorded placement prefixes and undoes/redoes only the suffix — an
 //! aggressive reuse scheme whose correctness rests entirely on the
 //! divergence analysis. These properties drive thousands of random
-//! single-move chains (the exact workload the MH/SA strategies produce)
-//! over random architectures, applications and frozen tables, asserting
-//! the delta scheduler's output — tables *and* slack profiles — is
+//! single- and multi-move chains (the workload the MH/SA strategies
+//! produce) over random architectures, applications and frozen
+//! tables, asserting the delta scheduler's output — tables *and* slack profiles — is
 //! bit-equal to the one-shot [`incdes_sched::schedule`] oracle and to
 //! the full-engine path at **every** step. Failures shrink to a minimal
 //! failing move chain via the proptest harness.
@@ -23,7 +23,7 @@ use incdes_model::{
 use incdes_obs::counters::{self, Counter};
 use incdes_sched::engine::{ChangedVar, FrozenBase, Scheduler};
 use incdes_sched::slack::GapList;
-use incdes_sched::{schedule, AppSpec, Hints, Mapping, MsgRef, SlackProfile};
+use incdes_sched::{schedule, AppSpec, Hints, Mapping, MsgRef, ScheduleTable, SlackProfile};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -139,6 +139,57 @@ fn apply_move(
 
 use incdes_model::ProcRef;
 
+/// The engine's changed-variable entry for one decoded move (a remap's
+/// hint reset names the same process — one entry).
+fn changed_var(mv: ChainMove) -> ChangedVar {
+    match mv {
+        ChainMove::Remap { node, .. } | ChainMove::GapHint { node, .. } => ChangedVar::Proc {
+            spec: 0,
+            graph: 0,
+            node: NodeId(node as u32),
+        },
+        ChainMove::SlotHint { edge, .. } => ChangedVar::Msg {
+            spec: 0,
+            graph: 0,
+            edge: incdes_graph::EdgeId(edge as u32),
+        },
+    }
+}
+
+/// A fuzzed chain's starting point on [`arch3`] at horizon 480: a
+/// random frozen table (none when `frozen_layers` is empty, or when it
+/// does not schedule) and the current application with its initial
+/// mapping.
+fn random_scene(
+    layers: &[usize],
+    wcets: &[u64],
+    parents: &[usize],
+    msg_bytes: &[u32],
+    frozen_layers: &[usize],
+    initial_pes: &[u32],
+) -> (Option<ScheduleTable>, Application, Mapping) {
+    let frozen = if frozen_layers.is_empty() {
+        None
+    } else {
+        let fg = build_graph(frozen_layers, wcets, parents, msg_bytes, Time::new(480));
+        let fapp = Application::new("frozen", vec![fg]);
+        let mut fmap = Mapping::new();
+        for (i, (pr, _)) in fapp.processes().enumerate() {
+            fmap.assign(pr, PeId(initial_pes[i % initial_pes.len()]));
+        }
+        let fhints = Hints::empty();
+        let fspec = AppSpec::new(AppId(0), &fapp, &fmap, &fhints);
+        schedule(&arch3(), &[fspec], None, Time::new(480)).ok()
+    };
+    let g = build_graph(layers, wcets, parents, msg_bytes, Time::new(240));
+    let app = Application::new("current", vec![g]);
+    let mut mapping = Mapping::new();
+    for (i, (pr, _)) in app.processes().enumerate() {
+        mapping.assign(pr, PeId(initial_pes[(i + 3) % initial_pes.len()]));
+    }
+    (frozen, app, mapping)
+}
+
 /// Case count of the differential properties: 48 in an ordinary test
 /// run, overridable through `PROPTEST_CASES` — CI runs a dedicated
 /// high-case job on this suite.
@@ -168,28 +219,8 @@ proptest! {
     ) {
         let arch = arch3();
         let horizon = Time::new(480);
-
-        // Random frozen table (possibly none).
-        let frozen = if frozen_layers.is_empty() {
-            None
-        } else {
-            let fg = build_graph(&frozen_layers, &wcets, &parents, &msg_bytes, Time::new(480));
-            let fapp = Application::new("frozen", vec![fg]);
-            let mut fmap = Mapping::new();
-            for (i, (pr, _)) in fapp.processes().enumerate() {
-                fmap.assign(pr, PeId(initial_pes[i % initial_pes.len()]));
-            }
-            let fhints = Hints::empty();
-            let fspec = AppSpec::new(AppId(0), &fapp, &fmap, &fhints);
-            schedule(&arch, &[fspec], None, horizon).ok()
-        };
-
-        let g = build_graph(&layers, &wcets, &parents, &msg_bytes, Time::new(240));
-        let app = Application::new("current", vec![g]);
-        let mut mapping = Mapping::new();
-        for (i, (pr, _)) in app.processes().enumerate() {
-            mapping.assign(pr, PeId(initial_pes[(i + 3) % initial_pes.len()]));
-        }
+        let (frozen, app, mut mapping) =
+            random_scene(&layers, &wcets, &parents, &msg_bytes, &frozen_layers, &initial_pes);
         let mut hints = Hints::empty();
 
         let base = FrozenBase::new(&arch, frozen.as_ref(), horizon).unwrap();
@@ -204,23 +235,8 @@ proptest! {
             } else {
                 Some(apply_move(&app, &mut mapping, &mut hints, moves[step - 1]))
             };
-            // The hinted path gets the changed-variable list of the move
-            // (a remap's hint reset names the same process — one entry).
-            let changed: Vec<ChangedVar> = match decoded {
-                None => Vec::new(),
-                Some(ChainMove::Remap { node, .. }) | Some(ChainMove::GapHint { node, .. }) => {
-                    vec![ChangedVar::Proc {
-                        spec: 0,
-                        graph: 0,
-                        node: NodeId(node as u32),
-                    }]
-                }
-                Some(ChainMove::SlotHint { edge, .. }) => vec![ChangedVar::Msg {
-                    spec: 0,
-                    graph: 0,
-                    edge: incdes_graph::EdgeId(edge as u32),
-                }],
-            };
+            // The hinted path gets the changed-variable list of the move.
+            let changed: Vec<ChangedVar> = decoded.into_iter().map(changed_var).collect();
             let spec = AppSpec::new(AppId(1), &app, &mapping, &hints);
             let oracle = schedule(&arch, &[spec], frozen.as_ref(), horizon);
             let full_run = full.schedule_with_slack(&arch, &[spec], &base);
@@ -268,6 +284,69 @@ proptest! {
             "delta path disengaged over {} raw schedules",
             delta.raw_schedule_count()
         );
+    }
+
+    /// Multi-variable hinted diffs: every step applies 1..=8 random
+    /// moves at once (an MH trial right after an acceptance, an SA
+    /// jump) and hands the engine the sorted, deduplicated union of
+    /// the touched variables, starting from a fresh scheduler with an
+    /// empty list. Tables, slack profiles and errors must equal the
+    /// `schedule()` oracle at every step.
+    #[test]
+    fn multi_variable_hinted_chain_matches_oracle(
+        layers in proptest::collection::vec(1usize..4, 1..4),
+        wcets in proptest::collection::vec(0u64..8, 4),
+        parents in proptest::collection::vec(0usize..7, 4),
+        msg_bytes in proptest::collection::vec(0u32..8, 4),
+        frozen_layers in proptest::collection::vec(1usize..3, 0..3),
+        initial_pes in proptest::collection::vec(0u32..3, 16),
+        steps in proptest::collection::vec(
+            proptest::collection::vec((0u8..3, 0usize..64, 0u32..8), 1..=8),
+            1..12,
+        ),
+    ) {
+        let arch = arch3();
+        let horizon = Time::new(480);
+        let (frozen, app, mut mapping) =
+            random_scene(&layers, &wcets, &parents, &msg_bytes, &frozen_layers, &initial_pes);
+        let mut hints = Hints::empty();
+
+        let base = FrozenBase::new(&arch, frozen.as_ref(), horizon).unwrap();
+        let mut hinted = Scheduler::new();
+
+        for step in 0..=steps.len() {
+            let mut changed: Vec<ChangedVar> = Vec::new();
+            let mut decoded = Vec::new();
+            if step > 0 {
+                for &mv in &steps[step - 1] {
+                    let m = apply_move(&app, &mut mapping, &mut hints, mv);
+                    changed.push(changed_var(m));
+                    decoded.push(m);
+                }
+            }
+            changed.sort_unstable();
+            changed.dedup();
+            let spec = AppSpec::new(AppId(1), &app, &mapping, &hints);
+            let oracle = schedule(&arch, &[spec], frozen.as_ref(), horizon);
+            let hinted_run = hinted.schedule_delta_hinted_with_slack(&arch, &[spec], &base, &changed);
+            match (oracle, hinted_run) {
+                (Ok(reference), Ok((ht, hs))) => {
+                    prop_assert_eq!(&ht, &reference,
+                        "hinted table diverged at step {} ({:?})", step, decoded);
+                    let reference_slack = SlackProfile::from_table(&arch, &reference);
+                    prop_assert_eq!(&hs, &reference_slack,
+                        "hinted slack diverged at step {} ({:?})", step, decoded);
+                }
+                (Err(a), Err(b)) => {
+                    prop_assert_eq!(&a, &b, "hinted error diverged at step {} ({:?})", step, decoded);
+                }
+                (a, b) => prop_assert!(
+                    false,
+                    "feasibility diverged at step {} ({:?}): oracle {:?} hinted {:?}",
+                    step, decoded, a.is_ok(), b.is_ok()
+                ),
+            }
+        }
     }
 
     /// Revisit-chain fuzz: a chain hopping among a small palette of
@@ -407,7 +486,7 @@ proptest! {
 /// placements are reused), and still match the oracle bit-for-bit.
 #[test]
 fn hint_toggle_chain_splices_most_steps() {
-    use incdes_sched::{JobId, ScheduleTable, ScheduledJob};
+    use incdes_sched::{JobId, ScheduledJob};
     let arch = arch3();
     let horizon = Time::new(240);
     let mut g = ProcessGraph::new("wide", Time::new(240), Time::new(240));

@@ -89,9 +89,9 @@ const LOCK_BACKOFF_START: Duration = Duration::from_millis(1);
 /// Backoff cap: waiters never sleep longer than this between polls.
 const LOCK_BACKOFF_CAP: Duration = Duration::from_millis(64);
 
-/// Default [`Store::lock_timeout`] when `INCDES_STORE_LOCK_MS` is
-/// unset.
-const DEFAULT_LOCK_TIMEOUT: Duration = Duration::from_secs(10);
+/// How long maintenance operations ([`Store::gc`], [`Store::clear`])
+/// wait for the store lock.
+const MAINTENANCE_LOCK_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// A content-addressed store key: the SHA-256 of an epoch-tagged
 /// canonical byte string.
@@ -440,17 +440,6 @@ impl Store {
         }
     }
 
-    /// The lock timeout maintenance operations ([`Store::gc`],
-    /// [`Store::clear`]) wait for: `INCDES_STORE_LOCK_MS` when set
-    /// (validated through `incdes_obs::diag::env_usize`), 10 s
-    /// otherwise.
-    #[must_use]
-    pub fn lock_timeout() -> Duration {
-        incdes_obs::diag::env_usize("INCDES_STORE_LOCK_MS", "store lock timeout in milliseconds")
-            .map(|ms| Duration::from_millis(ms as u64))
-            .unwrap_or(DEFAULT_LOCK_TIMEOUT)
-    }
-
     /// Removes every blob whose key is not in `live`, and sweeps crash
     /// debris: `*.tmp.*` files older than the staleness window
     /// (orphaned by a put that died between write and rename — younger
@@ -467,7 +456,7 @@ impl Store {
     ///
     /// Lock acquisition or I/O errors during the sweep.
     pub fn gc(&self, live: &BTreeSet<StoreKey>) -> io::Result<GcStats> {
-        let _guard = self.lock(Store::lock_timeout())?;
+        let _guard = self.lock(MAINTENANCE_LOCK_TIMEOUT)?;
         let mut stats = GcStats::default();
         let now = SystemTime::now();
         for entry in self.backend.list_dir(&self.root)? {

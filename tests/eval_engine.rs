@@ -244,10 +244,9 @@ fn memo_counts_requested_vs_raw_schedules() {
 fn strategies_identical_across_pipelines() {
     // (seed, frozen system size, current-app size, future demand) grid.
     // The first cells converge in a handful of evaluations (cost hits
-    // zero immediately — short chains stay on the full path by design);
-    // the demanding last cell keeps the objective positive so MH/SA
-    // explore long rejection chains, which is where the delta path must
-    // engage.
+    // zero immediately); the demanding last cell keeps the objective
+    // positive so MH/SA explore long rejection chains, which is where
+    // the delta path must engage.
     let grid = [
         (13u64, 30usize, 10usize, 10usize),
         (21, 20, 6, 10),

@@ -95,8 +95,8 @@ fn armed_phase_scopes_record_without_perturbing_counters() {
     for (a, b) in plain.outcomes.iter().zip(&profiled.outcomes) {
         let (a, b) = (a.expect_completed(), b.expect_completed());
         assert_eq!(a.counters, b.counters);
-        // With the plane armed (and the `obs-wallclock` feature on for
-        // tests) the scenario must have recorded real phase activity.
+        // With the plane armed the scenario must have recorded real
+        // phase activity.
         assert!(b.phases.get(Phase::Splice).count > 0);
         assert!(b.phases.get(Phase::Objective).count > 0);
     }
