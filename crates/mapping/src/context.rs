@@ -20,12 +20,12 @@
 //!   first raw schedule has no live solution and expands in full). See
 //!   the decision rules in `incdes_sched::engine`;
 //! * the slack profiles are `Arc`-backed, so untouched resources alias
-//!   the frozen base's (or the previous evaluation's) gap lists, and
-//!   the per-resource C2 terms ([`incdes_metrics::C2Cache`]) plus the
-//!   C1 bin-packing multiset ([`incdes_metrics::C1Cache`]) are cached
-//!   **by storage identity**: an aliased gap list is never re-measured
-//!   or re-packed — and a gap list that *did* change re-measures only
-//!   the `t_min` windows its diff span intersects;
+//!   the frozen base's gap lists; the per-resource C2 terms
+//!   ([`incdes_metrics::C2Cache`]) are kept per window, so a gap list
+//!   that changed re-measures only the `t_min` windows its diff span
+//!   intersects, and the C1 terms ([`incdes_metrics::C1Cache`]) sort
+//!   every container length and pack the cached future items one run
+//!   of equal sizes at a time;
 //! * a solution-fingerprint memo returns previously evaluated design
 //!   alternatives without re-scheduling, so SA's revisited states and
 //!   MH's widening rounds skip duplicate schedules.
@@ -67,8 +67,8 @@ use std::sync::{Arc, OnceLock};
 /// iteration counts, every campaign report — is byte-identical for any
 /// thread count ≥ 1. MH candidate batches reduce in candidate-index
 /// order, and batch workers score each miss against the shared
-/// `Arc<FrozenBase>` on the full (splice-free) path with fresh objective
-/// caches, so no counter depends on how candidates were partitioned. SA
+/// `Arc<FrozenBase>` on the full (splice-free) path with a fresh C2
+/// cache, so no counter depends on how candidates were partitioned. SA
 /// runs its one seeded chain on the context's own engine in either mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SearchParallelism {
@@ -483,10 +483,10 @@ struct EvalEngine {
     /// schedule, and on the full-engine tier.
     live_key: Option<MemoKey>,
     /// Per-resource C2 terms with window-level incremental updates:
-    /// aliased gap lists hit by storage identity, changed lists
-    /// re-measure only the `t_min` windows their diff span intersects.
+    /// changed lists re-measure only the `t_min` windows their diff span
+    /// intersects.
     c2: C2Cache,
-    /// Incremental C1 bin-packing state, patched by storage identity.
+    /// The C1 future items and container scratch.
     c1: C1Cache,
     /// Scratch for the collected solution diff (no per-eval allocation).
     vars_scratch: Vec<ChangedVar>,
@@ -569,9 +569,9 @@ struct EngineCounts {
 }
 
 /// The objective terms of a freshly scheduled slack profile, through the
-/// given identity-keyed C2/C1 caches. Shared by the main evaluation path
-/// and the parallel batch workers — the caches are behavior-transparent,
-/// so warm and fresh caches produce bit-identical costs.
+/// given C2/C1 caches. Shared by the main evaluation path and the
+/// parallel batch workers — the caches are behavior-transparent, so
+/// warm and fresh caches produce bit-identical costs.
 fn score_slack(
     scene: &Scene<'_>,
     c2: &mut C2Cache,
@@ -587,7 +587,7 @@ fn score_slack(
         c2p += c2.pe_term(i, shared, scene.horizon, t_min);
     }
     let c2m = c2.bus_term(slack.bus_windows_shared(), scene.horizon, t_min);
-    objective::evaluate_with_c1_delta(scene.arch, slack, scene.future, scene.weights, c2p, c2m, c1)
+    objective::evaluate_with_c2(scene.arch, slack, scene.future, scene.weights, c2p, c2m, c1)
 }
 
 /// One memoized engine evaluation (the body of
@@ -682,38 +682,36 @@ fn engine_evaluate_raw(
         run
     };
     let (table, slack) = run?;
-    // C2 terms: gap lists aliased from the frozen base (untouched
-    // PEs) or the previous evaluation (PEs unchanged by the delta)
-    // hit by storage identity; changed lists re-measure only the
-    // windows their diff span intersects.
+    // C2 terms: changed lists re-measure only the windows their diff
+    // span intersects.
     let cost = score_slack(scene, c2, c1, &slack);
     Ok(Evaluation { table, slack, cost })
 }
 
 /// A batch worker's evaluation: the full (splice-free) path against the
-/// shared frozen base, no memo, no record bookkeeping, and fresh C2/C1
-/// caches. Every call costs exactly one raw schedule, zero delta/spliced
-/// steps and one cold objective scoring, so the batch's counters are a
-/// function of the hit/miss pattern alone — independent of how
-/// candidates were partitioned over threads. (A warm cache would hit
-/// depending on what its worker scored before; the full path changes
-/// nearly every resource anyway, so it would save little.)
+/// shared frozen base, no memo, no record bookkeeping, and a fresh C2
+/// cache. Every call costs exactly one raw schedule, zero delta/spliced
+/// steps and one cold C2 scoring, so the batch's counters are a function
+/// of the hit/miss pattern alone — independent of how candidates were
+/// partitioned over threads. (A warm C2 cache would count windows
+/// depending on what its worker scored before.) The worker's own C1
+/// cache only keeps the future items, so it scores and counts the same
+/// warm or fresh.
 fn evaluate_shared_full(
     scene: &Scene<'_>,
     base: &Arc<FrozenBase>,
-    scheduler: &mut Scheduler,
+    worker: &mut BatchWorker,
     solution: &Solution,
 ) -> Result<Evaluation, SchedError> {
     let spec = AppSpec::new(scene.app_id, scene.app, &solution.mapping, &solution.hints);
-    let (table, slack) = scheduler.schedule_with_slack(scene.arch, &[spec], base)?;
-    let cost = score_slack(
-        scene,
-        &mut C2Cache::default(),
-        &mut C1Cache::default(),
-        &slack,
-    );
+    let (table, slack) = worker.0.schedule_with_slack(scene.arch, &[spec], base)?;
+    let cost = score_slack(scene, &mut C2Cache::default(), &mut worker.1, &slack);
     Ok(Evaluation { table, slack, cost })
 }
+
+/// A parallel batch worker's private state: its scheduler scratch and
+/// its C1 items.
+type BatchWorker = (Scheduler, C1Cache);
 
 /// Everything a strategy needs to evaluate design alternatives for one
 /// *current application* on one system state.
@@ -739,8 +737,8 @@ pub struct MappingContext<'a> {
     full_engine: bool,
     parallelism: SearchParallelism,
     engine: RefCell<EvalEngine>,
-    /// Idle batch-worker schedulers, recycled across parallel rounds.
-    workers: RefCell<Vec<Scheduler>>,
+    /// Idle batch workers, recycled across parallel rounds.
+    workers: RefCell<Vec<BatchWorker>>,
 }
 
 impl<'a> MappingContext<'a> {
@@ -1044,7 +1042,7 @@ impl<'a> MappingContext<'a> {
         }
         engine.key_scratch = scratch;
 
-        // Pass 2: dispatch the runnable misses to worker schedulers.
+        // Pass 2: dispatch the runnable misses to batch workers.
         if misses.iter().any(|m| m.run) {
             let base = engine.base.get_or_insert_with(|| {
                 FrozenBase::new(scene.arch, scene.frozen, scene.horizon).map(Arc::new)
@@ -1065,7 +1063,7 @@ impl<'a> MappingContext<'a> {
                     counts.raw_schedules += jobs.len();
                     let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
                     let worker_count = batch_worker_count(threads, jobs.len(), batch_cutover, hw);
-                    let mut schedulers: Vec<Scheduler> = {
+                    let mut batch_workers: Vec<BatchWorker> = {
                         let mut pool = self.workers.borrow_mut();
                         (0..worker_count)
                             .map(|_| pool.pop().unwrap_or_default())
@@ -1074,7 +1072,7 @@ impl<'a> MappingContext<'a> {
                     let produced: Vec<(usize, Result<Evaluation, SchedError>)> = if worker_count
                         == 1
                     {
-                        let worker = &mut schedulers[0];
+                        let worker = &mut batch_workers[0];
                         jobs.iter()
                             .map(|&idx| {
                                 (
@@ -1087,8 +1085,8 @@ impl<'a> MappingContext<'a> {
                         let jobs = &jobs;
                         let scene = &scene;
                         let base = &base;
-                        let finished: Vec<(Scheduler, Vec<_>, _, _)> = std::thread::scope(|s| {
-                            let handles: Vec<_> = schedulers
+                        let finished: Vec<(BatchWorker, Vec<_>, _, _)> = std::thread::scope(|s| {
+                            let handles: Vec<_> = batch_workers
                                 .drain(..)
                                 .enumerate()
                                 .map(|(w, mut worker)| {
@@ -1124,14 +1122,14 @@ impl<'a> MappingContext<'a> {
                         });
                         let mut collected = Vec::with_capacity(jobs.len());
                         for (worker, produced, worker_counters, worker_phases) in finished {
-                            schedulers.push(worker);
+                            batch_workers.push(worker);
                             collected.extend(produced);
                             counters::merge_into_current(&worker_counters);
                             phase::merge_into_current(&worker_phases);
                         }
                         collected
                     };
-                    self.workers.borrow_mut().append(&mut schedulers);
+                    self.workers.borrow_mut().append(&mut batch_workers);
                     for (idx, res) in produced {
                         out[idx] = Some(res);
                     }

@@ -4,6 +4,13 @@
 //! the best-fit policy: processes as objects to be packed, and the slack
 //! as containers". First-fit and worst-fit are provided as ablation
 //! baselines.
+//!
+//! [`pack`] is the reference: it places every item into an indexed
+//! container list and reports where each one went. [`pack_totals_sorted`]
+//! computes only its totals, from sorted items and sorted capacities,
+//! packing a run of equal-sized items in one walk over the bins — the
+//! evaluation engine's C1 path ([`crate::C1Cache`]), whose future items
+//! come in a handful of distinct sizes.
 
 use incdes_model::Time;
 use serde::{Deserialize, Serialize};
@@ -108,156 +115,100 @@ pub fn pack(items: &[Time], containers: &[Time], policy: FitPolicy) -> PackOutco
     }
 }
 
-/// A multiset of container capacities, flattened into one sorted `Vec`
-/// (ascending, duplicates adjacent).
+/// Packing totals of [`pack`] for sorted inputs, computed one run of
+/// equal-sized items at a time.
 ///
-/// The previous layout was a `BTreeMap<Time, u32>` of capacity →
-/// count: every packing step chased tree nodes scattered across the
-/// heap. The flat `Vec` keeps the whole multiset in one contiguous
-/// allocation — the best-fit lookup is a branch-free binary search, a
-/// packing step is one bounded `rotate_right` over adjacent memory, and
-/// the multiset stays small (one entry per slack container), so the
-/// O(n) shifts of `insert`/`remove` are cheap memmoves.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CapMultiset {
-    /// Capacities in ascending order, one entry per container.
-    caps: Vec<Time>,
-}
-
-impl CapMultiset {
-    /// An empty multiset.
-    pub fn new() -> Self {
-        CapMultiset::default()
-    }
-
-    /// Removes every container.
-    pub fn clear(&mut self) {
-        self.caps.clear();
-    }
-
-    /// Number of containers (duplicates counted).
-    pub fn len(&self) -> usize {
-        self.caps.len()
-    }
-
-    /// Whether the multiset holds no containers.
-    pub fn is_empty(&self) -> bool {
-        self.caps.is_empty()
-    }
-
-    /// Inserts one container of capacity `cap`.
-    pub fn insert(&mut self, cap: Time) {
-        let p = self.caps.partition_point(|&c| c < cap);
-        self.caps.insert(p, cap);
-    }
-
-    /// Removes one container of capacity `cap`.
-    ///
-    /// Returns `false` — leaving the multiset untouched — when no
-    /// container of that capacity is present. Callers that provably
-    /// inserted the capacity assert on the result; callers maintaining
-    /// a long-lived multiset (the incremental C1 cache) treat `false`
-    /// as proof of a stale/desynced cache and fall back to a full
-    /// repack instead of killing the campaign worker.
-    #[must_use]
-    pub fn remove(&mut self, cap: Time) -> bool {
-        let p = self.caps.partition_point(|&c| c < cap);
-        if p < self.caps.len() && self.caps[p] == cap {
-            self.caps.remove(p);
-            true
-        } else {
-            false
-        }
-    }
-}
-
-/// Packing totals of [`pack`] computed against a capacity *multiset*
-/// instead of an indexed container list — `O(items · log bins)` instead
-/// of `O(items · bins)`, and the multiset can be patched incrementally
-/// when only a few containers change between calls (the delta
-/// evaluation path of `incdes-mapping`).
+/// Returns `(packed, unpacked)`, exactly the totals [`pack`] reports for
+/// the same item sizes and container capacities: best fit picks the
+/// smallest capacity ≥ size and worst fit the largest, so the multiset
+/// of remaining capacities evolves as in [`pack`] — index-order
+/// tie-breaks only choose *which* of several equal containers receives
+/// an item, never the totals. First-fit totals depend on container
+/// order, which sorting discards: the call returns `None` and the caller
+/// must use [`pack`].
 ///
-/// Returns `(packed, unpacked)`, exactly the totals [`pack`] reports
-/// for the same item sizes and the container capacities in `bins`:
-/// best-fit picks the smallest capacity ≥ size and worst-fit the
-/// largest, so the multiset of remaining capacities evolves identically
-/// to [`pack`]'s — index-order tie-breaks select *which* equal-capacity
-/// container receives an item, never the totals. First-fit totals *do*
-/// depend on container order, which a multiset cannot represent: the
-/// call returns `None` and the caller must fall back to [`pack`].
+/// `items_desc` must be sorted decreasing and `bins` ascending. `bins`
+/// is scratch: it holds the residual capacities, still ascending,
+/// afterwards. Zero-sized items consume nothing.
 ///
-/// `items_desc` must be sorted in decreasing order ([`pack`] considers
-/// items that way); zero-sized items are skipped (they consume
-/// nothing). The multiset is mutated during packing and restored before
-/// returning.
-pub fn pack_totals_multiset(
+/// Best fit packs a run of `k` items of size `s` in closed form. The
+/// smallest bin `c ≥ s` takes an item, and its residual `c − s` stays
+/// the smallest bin ≥ `s` while it is ≥ `s`, so that bin takes
+/// `min(k, ⌊c/s⌋)` items before the next bin gets any. The run walks
+/// the bins ≥ `s` in ascending order and re-sorts the touched prefix
+/// once — `O(distinct sizes × bins)` instead of `O(items × log bins)`.
+/// Worst fit packs item by item: the largest bin is the last one, and
+/// its residual moves left by one bounded memmove.
+pub fn pack_totals_sorted(
     items_desc: &[Time],
-    bins: &mut CapMultiset,
+    bins: &mut [Time],
     policy: FitPolicy,
 ) -> Option<(Time, Time)> {
-    if matches!(policy, FitPolicy::FirstFit) {
+    if policy == FitPolicy::FirstFit {
         return None;
     }
     debug_assert!(
         items_desc.windows(2).all(|w| w[0] >= w[1]),
         "items must be sorted decreasing"
     );
+    debug_assert!(
+        bins.windows(2).all(|w| w[0] <= w[1]),
+        "bins must be sorted ascending"
+    );
     let mut packed = Time::ZERO;
     let mut unpacked = Time::ZERO;
-    // Mutations to revert: `(taken, residual)` in application order.
-    let mut ops: Vec<(Time, Time)> = Vec::new();
-    let caps = &mut bins.caps;
-    for &size in items_desc {
+    for run in items_desc.chunk_by(|a, b| a == b) {
+        let size = run[0];
         if size.is_zero() {
-            // Zero-sized items pack trivially and consume nothing.
             continue;
         }
-        match policy {
-            FitPolicy::BestFit => {
-                // Best fit = smallest capacity ≥ size: one branch-free
-                // binary search on the sorted flat array.
-                let p = caps.partition_point(|&c| c < size);
-                if p == caps.len() {
-                    unpacked += size;
-                    continue;
-                }
-                let c = caps[p];
-                let rem = c - size;
-                // Replace `c` by its residual, re-sorting with a single
-                // bounded memmove: `rem < c`, so its slot is at or left
-                // of `p` and everything beyond `p` is untouched.
-                let q = caps[..p].partition_point(|&x| x < rem);
-                caps[q..=p].rotate_right(1);
-                caps[q] = rem;
-                ops.push((c, rem));
-                packed += size;
-            }
-            FitPolicy::WorstFit => {
-                // Worst fit = largest capacity: the last element.
-                match caps.last().copied() {
-                    Some(c) if c >= size => {
-                        caps.pop();
-                        let rem = c - size;
-                        let q = caps.partition_point(|&x| x < rem);
-                        caps.insert(q, rem);
-                        ops.push((c, rem));
-                        packed += size;
-                    }
-                    _ => unpacked += size,
-                }
-            }
-            FitPolicy::FirstFit => unreachable!("rejected above"),
-        }
-    }
-    // Restore: undo each residual swap in reverse order.
-    for &(taken, rem) in ops.iter().rev() {
-        let q = caps.partition_point(|&x| x < rem);
-        debug_assert!(caps[q] == rem, "residual {rem} came from this call");
-        let p = caps[q + 1..].partition_point(|&x| x < taken) + q + 1;
-        caps[q..p].rotate_left(1);
-        caps[p - 1] = taken;
+        let count = run.len() as u64;
+        let left = if policy == FitPolicy::BestFit {
+            best_fit_run(size, count, bins)
+        } else {
+            worst_fit_run(size, count, bins)
+        };
+        packed += size * (count - left);
+        unpacked += size * left;
     }
     Some((packed, unpacked))
+}
+
+/// Best-fits `count` items of `size` into the ascending `bins`; returns
+/// how many did not fit.
+fn best_fit_run(size: Time, count: u64, bins: &mut [Time]) -> u64 {
+    let mut left = count;
+    let mut end = bins.partition_point(|&c| c < size);
+    while left > 0 && end < bins.len() {
+        let take = left.min(bins[end].ticks() / size.ticks());
+        bins[end] -= size * take;
+        left -= take;
+        end += 1;
+    }
+    // Every touched bin but the last now holds less than `size`; the
+    // last one's residual may still be ≥ `size`. The untouched bins
+    // beyond `end` are at least the last one's original capacity, so
+    // sorting the prefix restores the order.
+    bins[..end].sort_unstable();
+    left
+}
+
+/// Worst-fits `count` items of `size` into the ascending `bins`; returns
+/// how many did not fit.
+fn worst_fit_run(size: Time, count: u64, bins: &mut [Time]) -> u64 {
+    for placed in 0..count {
+        match bins.last().copied() {
+            Some(c) if c >= size => {
+                let rem = c - size;
+                let last = bins.len() - 1;
+                let q = bins[..last].partition_point(|&x| x < rem);
+                bins[q..].rotate_right(1);
+                bins[q] = rem;
+            }
+            _ => return count - placed,
+        }
+    }
+    0
 }
 
 #[cfg(test)]
@@ -356,6 +307,58 @@ mod tests {
         assert_eq!(worst.unpacked, t(3));
     }
 
+    /// Runs [`pack_totals_sorted`] on `items`/`bins` and compares it with
+    /// [`pack`]: equal totals, and the residual bins are `pack`'s
+    /// remaining capacities, sorted.
+    fn check_sorted_packer(
+        items: &[u64],
+        bins: &[u64],
+        policy: FitPolicy,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let items = ts(items);
+        let bins = ts(bins);
+        let reference = pack(&items, &bins, policy);
+        let mut desc = items.clone();
+        desc.sort_unstable_by(|a, b| b.cmp(a));
+        let mut sorted = bins.clone();
+        sorted.sort_unstable();
+        let (packed, unpacked) =
+            pack_totals_sorted(&desc, &mut sorted, policy).expect("policy supported");
+        prop_assert_eq!(packed, reference.packed);
+        prop_assert_eq!(unpacked, reference.unpacked);
+        let mut remaining = reference.remaining;
+        remaining.sort_unstable();
+        prop_assert_eq!(sorted, remaining);
+        Ok(())
+    }
+
+    /// A best-fit run that ends inside a bin whose residual can still
+    /// take another item of the run's size: the next run must see that
+    /// bin in sorted position.
+    #[test]
+    fn best_fit_run_ends_in_bin_with_room() {
+        // 5×3: the 6-bin takes one (1 left), the 22-bin takes two and
+        // keeps 12 ≥ 5. Then 4×8: the 12-bin takes three, the 23-bin
+        // five.
+        let items = ts(&[5, 5, 5, 4, 4, 4, 4, 4, 4, 4, 4]);
+        let mut bins = ts(&[6, 22, 23]);
+        let totals = pack_totals_sorted(&items, &mut bins, FitPolicy::BestFit);
+        assert_eq!(totals, Some((t(47), t(0))));
+        assert_eq!(bins, ts(&[0, 1, 3]));
+        let reference = pack(&items, &ts(&[6, 22, 23]), FitPolicy::BestFit);
+        assert_eq!((reference.packed, reference.unpacked), (t(47), t(0)));
+    }
+
+    #[test]
+    fn sorted_packer_rejects_first_fit() {
+        let mut bins = ts(&[1, 5]);
+        assert_eq!(
+            pack_totals_sorted(&ts(&[1]), &mut bins, FitPolicy::FirstFit),
+            None
+        );
+        assert_eq!(bins, ts(&[1, 5]), "bins untouched");
+    }
+
     proptest! {
         /// Conservation: packed + unpacked equals the item total, and
         /// remaining capacities never go negative or exceed originals.
@@ -391,76 +394,40 @@ mod tests {
             }
         }
 
-        /// The multiset totals are *exactly* the indexed packer's totals
-        /// for best-fit and worst-fit (the policies whose totals are a
-        /// pure function of the capacity multiset), and the multiset is
-        /// restored afterwards — the contract the incremental C1 bound
-        /// is built on.
+        /// The sorted packer's totals are *exactly* the indexed packer's
+        /// for best fit and worst fit (the policies whose totals are a
+        /// pure function of the capacity multiset), and the residual
+        /// capacities it leaves are `pack`'s `remaining`, sorted.
         #[test]
-        fn prop_multiset_totals_match_pack(
+        fn prop_sorted_packer_matches_pack(
             items in proptest::collection::vec(0u64..50, 0..30),
             bins in proptest::collection::vec(0u64..80, 0..15),
             best in 0u8..2,
         ) {
             let policy = if best == 0 { FitPolicy::BestFit } else { FitPolicy::WorstFit };
-            let items_t = ts(&items);
-            let bins_t = ts(&bins);
-            let reference = pack(&items_t, &bins_t, policy);
-
-            let mut sorted = items_t.clone();
-            sorted.sort_by(|a, b| b.cmp(a));
-            let mut multiset = CapMultiset::new();
-            for &b in &bins_t {
-                multiset.insert(b);
-            }
-            let snapshot = multiset.clone();
-            let (packed, unpacked) =
-                pack_totals_multiset(&sorted, &mut multiset, policy).expect("policy supported");
-            prop_assert_eq!(packed, reference.packed);
-            prop_assert_eq!(unpacked, reference.unpacked);
-            prop_assert_eq!(&multiset, &snapshot, "multiset must be restored");
+            check_sorted_packer(&items, &bins, policy)?;
         }
 
         /// Long runs of equal-sized items (the synthetic future
-        /// profiles' shape, which triggers the batched best-fit arm)
-        /// still produce exactly the indexed packer's totals.
+        /// profiles' shape, which the best-fit run walk packs in closed
+        /// form), mixed with extras, zero-size items and zero-capacity
+        /// bins, still produce exactly the indexed packer's totals.
         #[test]
-        fn prop_multiset_batching_matches_pack(
-            size in 1u64..12,
-            run in 1usize..60,
+        fn prop_sorted_packer_matches_pack_on_runs(
+            runs in proptest::collection::vec((0u64..12, 1usize..60), 1..5),
             extra in proptest::collection::vec(0u64..50, 0..8),
             bins in proptest::collection::vec(0u64..80, 0..12),
+            zero_bins in 0usize..3,
+            best in 0u8..2,
         ) {
-            let mut items: Vec<u64> = vec![size; run];
-            items.extend(extra);
-            let items_t = ts(&items);
-            let bins_t = ts(&bins);
-            let reference = pack(&items_t, &bins_t, FitPolicy::BestFit);
-
-            let mut sorted = items_t.clone();
-            sorted.sort_by(|a, b| b.cmp(a));
-            let mut multiset = CapMultiset::new();
-            for &b in &bins_t {
-                multiset.insert(b);
+            let policy = if best == 0 { FitPolicy::BestFit } else { FitPolicy::WorstFit };
+            let mut items: Vec<u64> = extra;
+            for (size, len) in runs {
+                items.extend(std::iter::repeat_n(size, len));
             }
-            let snapshot = multiset.clone();
-            let (packed, unpacked) =
-                pack_totals_multiset(&sorted, &mut multiset, FitPolicy::BestFit).unwrap();
-            prop_assert_eq!(packed, reference.packed);
-            prop_assert_eq!(unpacked, reference.unpacked);
-            prop_assert_eq!(&multiset, &snapshot);
-        }
-
-        /// First-fit is order-dependent: the multiset path refuses it.
-        #[test]
-        fn prop_multiset_rejects_first_fit(bins in proptest::collection::vec(1u64..10, 0..5)) {
-            let mut multiset = CapMultiset::new();
-            for &b in &ts(&bins) {
-                multiset.insert(b);
-            }
-            prop_assert!(
-                pack_totals_multiset(&[Time::new(1)], &mut multiset, FitPolicy::FirstFit).is_none()
-            );
+            let mut bins = bins;
+            bins.extend(std::iter::repeat_n(0, zero_bins));
+            check_sorted_packer(&items, &bins, policy)?;
         }
 
         /// Best-fit-decreasing never leaves an item unpacked if some bin

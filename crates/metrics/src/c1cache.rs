@@ -1,36 +1,116 @@
-//! The incremental C1 bin-packing bound.
+//! The C1 bin-packing terms of one evaluation context.
 //!
 //! The C1 metrics pack the largest expected future application into the
 //! slack containers of the current design alternative — every gap of
-//! every PE for `C1P`, every free bus window for `C1m`. The plain
+//! every PE for `C1P`, every free bus window for `C1m`. The reference
 //! [`crate::criteria::c1_processes`] / [`crate::criteria::c1_messages`]
-//! path re-collects all container sizes and re-runs the `O(items ·
-//! bins)` packer on each evaluation, which scales with the *frozen*
-//! system size even though a design move changes only a handful of
-//! containers.
+//! expand the items and run the indexed `O(items · bins)` packer on
+//! every call.
 //!
-//! [`C1Cache`] keeps the container capacities in a sorted multiset and
-//! patches only the gap-list segments the delta invalidated: the
-//! `Arc`-backed [`SlackProfile`] storage makes "unchanged" detectable by
-//! pointer identity (`Arc::ptr_eq`), so a single-move neighbor updates
-//! the few PEs (and possibly the bus) whose lists were rebuilt and
-//! repacks in `O(items · log bins)`. The totals are **exactly** the
-//! packer's — see [`crate::binpack::pack_totals_multiset`] for why the
-//! multiset evolution is equivalent for best-fit and worst-fit — and
-//! the order-dependent first-fit policy reports itself unsupported so
-//! callers fall back to the full packer.
+//! [`C1Cache`] is a pure function of the slack profile that keeps only
+//! what does not depend on it: the decreasing item lists of the future
+//! application (rebuilt when the future profile, the horizon or the
+//! bus rate change) and reused scratch for the container lengths. Each
+//! call collects every PE gap and bus window length, sorts them, and
+//! packs with [`crate::binpack::pack_totals_sorted`], which best-fits
+//! one run of equal-sized items at a time. The totals are **exactly**
+//! the reference packer's for best fit and worst fit; the
+//! order-dependent first fit delegates to the reference functions, so
+//! every policy gets a value.
 
-use crate::binpack::{pack_totals_multiset, CapMultiset, FitPolicy};
-use incdes_model::{Architecture, FutureProfile, Time};
-use incdes_obs::counters::{self, Counter};
-use incdes_sched::slack::GapList;
+use crate::binpack::{pack_totals_sorted, FitPolicy};
+use crate::criteria::{c1_messages, c1_processes};
+use incdes_model::{Architecture, FutureProfile, PeId, Time};
 use incdes_sched::SlackProfile;
-use std::sync::Arc;
 
-/// Percentage of total item size left unpacked (0 if there were none) —
-/// the same arithmetic as [`crate::binpack::PackOutcome::unpacked_percent`],
+/// The C1 packer's per-context state: the future items and scratch.
+/// Reuse across contexts is safe — the items are rebuilt whenever the
+/// future profile, the horizon or the bus rate differ.
+#[derive(Debug, Default)]
+pub struct C1Cache {
+    /// What the items were built for: the future profile, the horizon
+    /// and the bus's bytes-per-tick rate (nothing else of the
+    /// architecture affects them).
+    future: Option<FutureProfile>,
+    bytes_per_tick: u32,
+    horizon: Time,
+    /// Future process items, sorted decreasing.
+    proc_items: Vec<Time>,
+    /// Future message items (already converted to bus time), sorted
+    /// decreasing.
+    msg_items: Vec<Time>,
+    /// Scratch: the container lengths of the current call.
+    bins: Vec<Time>,
+    /// Diagnostics: resources collected since construction.
+    collected: usize,
+}
+
+impl C1Cache {
+    /// An empty cache; the first evaluation builds the items.
+    pub fn new() -> Self {
+        C1Cache::default()
+    }
+
+    /// Number of resources whose containers were collected so far:
+    /// `pe_count + 1` (every PE and the bus) per call. Diagnostics for
+    /// tests and benches.
+    pub fn patched_resource_count(&self) -> usize {
+        self.collected
+    }
+
+    /// The `(C1P, C1m)` terms of `slack` — bit-equal to
+    /// [`c1_processes`] and [`c1_messages`] for every policy.
+    pub fn c1_terms(
+        &mut self,
+        arch: &Architecture,
+        slack: &SlackProfile,
+        future: &FutureProfile,
+        policy: FitPolicy,
+    ) -> (f64, f64) {
+        self.collected += slack.pe_count() + 1;
+        if policy == FitPolicy::FirstFit {
+            return (
+                c1_processes(slack, future, policy),
+                c1_messages(arch, slack, future, policy),
+            );
+        }
+        let horizon = slack.horizon();
+        let bus = arch.bus();
+        if self.horizon != horizon
+            || self.bytes_per_tick != bus.bytes_per_tick
+            || self.future.as_ref() != Some(future)
+        {
+            self.horizon = horizon;
+            self.bytes_per_tick = bus.bytes_per_tick;
+            self.future = Some(future.clone());
+            self.proc_items = future.expected_process_items(horizon);
+            self.proc_items.sort_unstable_by(|a, b| b.cmp(a));
+            self.msg_items =
+                future.expected_message_items(horizon, |bytes| bus.transmission_time(bytes));
+            self.msg_items.sort_unstable_by(|a, b| b.cmp(a));
+        }
+        self.bins.clear();
+        for i in 0..slack.pe_count() {
+            let gaps = slack.gaps_of(PeId(i as u32));
+            self.bins.extend(gaps.iter().map(|&(s, e)| e - s));
+        }
+        let c1p = unpacked_percent(&self.proc_items, &mut self.bins, policy);
+        self.bins.clear();
+        let windows = slack.bus_windows().iter().map(|&(s, e)| e - s);
+        self.bins.extend(windows);
+        let c1m = unpacked_percent(&self.msg_items, &mut self.bins, policy);
+        (c1p, c1m)
+    }
+}
+
+/// Sorts `bins`, packs `items_desc` into them and returns the percentage
+/// of total item size left unpacked (0 if there were no items) — the
+/// same arithmetic as [`crate::binpack::PackOutcome::unpacked_percent`],
 /// on identical integer totals, so the floats are bit-equal.
-fn unpacked_percent(packed: Time, unpacked: Time) -> f64 {
+fn unpacked_percent(items_desc: &[Time], bins: &mut [Time], policy: FitPolicy) -> f64 {
+    bins.sort_unstable();
+    let (packed, unpacked) =
+        pack_totals_sorted(items_desc, bins, policy).expect("first fit is delegated");
     let total = packed + unpacked;
     if total.is_zero() {
         0.0
@@ -39,185 +119,12 @@ fn unpacked_percent(packed: Time, unpacked: Time) -> f64 {
     }
 }
 
-/// Incrementally maintained C1 packing state for one evaluation context
-/// (one architecture, one future profile, one horizon — the cache
-/// rebuilds itself whenever any of those change, so reuse across
-/// contexts is safe, just not profitable).
-#[derive(Debug, Default)]
-pub struct C1Cache {
-    /// Cache generation: what the items and multisets were built for.
-    /// The items depend on the future profile, the horizon and the
-    /// bus's bytes-per-tick rate (nothing else of the architecture), so
-    /// those three plus the policy and the PE count are the guard.
-    future: Option<FutureProfile>,
-    bytes_per_tick: u32,
-    horizon: Time,
-    policy: Option<FitPolicy>,
-    /// Future process items, sorted decreasing.
-    proc_items: Vec<Time>,
-    /// Future message items (already converted to bus time), sorted
-    /// decreasing.
-    msg_items: Vec<Time>,
-    /// Last-seen gap storage per PE. Holding the `Arc` keeps the
-    /// allocation alive, which is what makes `Arc::ptr_eq` a sound
-    /// unchanged-detector (no ABA through reuse of a freed address).
-    pe_seen: Vec<GapList>,
-    bus_seen: Option<GapList>,
-    /// Capacity multisets of all PE gaps and all bus windows.
-    pe_bins: CapMultiset,
-    bus_bins: CapMultiset,
-    /// Diagnostics: resources patched (vs. aliased) since construction.
-    patched_resources: usize,
-    evaluations: usize,
-}
-
-impl C1Cache {
-    /// An empty cache; the first evaluation populates it.
-    pub fn new() -> Self {
-        C1Cache::default()
-    }
-
-    /// Number of per-resource multiset patches performed so far —
-    /// resources whose gap storage was *not* aliased from the previous
-    /// evaluation. Diagnostics for tests and benches.
-    pub fn patched_resource_count(&self) -> usize {
-        self.patched_resources
-    }
-
-    /// Number of evaluations served.
-    pub fn evaluation_count(&self) -> usize {
-        self.evaluations
-    }
-
-    /// The `(C1P, C1m)` terms of `slack`, patching only the containers
-    /// whose storage changed since the previous call. Returns `None`
-    /// for [`FitPolicy::FirstFit`] (order-dependent totals — callers
-    /// fall back to the full packer).
-    pub fn c1_terms(
-        &mut self,
-        arch: &Architecture,
-        slack: &SlackProfile,
-        future: &FutureProfile,
-        policy: FitPolicy,
-    ) -> Option<(f64, f64)> {
-        if matches!(policy, FitPolicy::FirstFit) {
-            return None;
-        }
-        self.evaluations += 1;
-        let horizon = slack.horizon();
-        let fresh = self.policy != Some(policy)
-            || self.horizon != horizon
-            || self.pe_seen.len() != slack.pe_count()
-            || self.bytes_per_tick != arch.bus().bytes_per_tick
-            || self.future.as_ref() != Some(future);
-        if fresh || !self.patch(slack) {
-            // A failed patch means a seen-list/multiset mismatch (stale
-            // or raced cache state — e.g. a seen `Arc` that was swapped
-            // out from under the cache): the multisets can no longer be
-            // trusted, so repack everything from the slack profile.
-            counters::bump(Counter::C1Repacked);
-            self.rebuild(arch, slack, future, policy);
-        }
-        let proc = pack_totals_multiset(&self.proc_items, &mut self.pe_bins, policy)
-            .expect("policy checked above");
-        let msg = pack_totals_multiset(&self.msg_items, &mut self.bus_bins, policy)
-            .expect("policy checked above");
-        Some((
-            unpacked_percent(proc.0, proc.1),
-            unpacked_percent(msg.0, msg.1),
-        ))
-    }
-
-    /// Full rebuild: items, multisets and seen-storage snapshots.
-    fn rebuild(
-        &mut self,
-        arch: &Architecture,
-        slack: &SlackProfile,
-        future: &FutureProfile,
-        policy: FitPolicy,
-    ) {
-        let horizon = slack.horizon();
-        self.horizon = horizon;
-        self.policy = Some(policy);
-        self.future = Some(future.clone());
-        self.bytes_per_tick = arch.bus().bytes_per_tick;
-        self.proc_items = future.expected_process_items(horizon);
-        self.proc_items.sort_by(|a, b| b.cmp(a));
-        self.msg_items =
-            future.expected_message_items(horizon, |bytes| arch.bus().transmission_time(bytes));
-        self.msg_items.sort_by(|a, b| b.cmp(a));
-
-        self.pe_bins.clear();
-        self.pe_seen.clear();
-        for i in 0..slack.pe_count() {
-            let shared = slack.gaps_shared(incdes_model::PeId(i as u32));
-            for &(s, e) in shared.iter() {
-                self.pe_bins.insert(e - s);
-            }
-            self.pe_seen.push(Arc::clone(shared));
-        }
-        self.bus_bins.clear();
-        let shared = slack.bus_windows_shared();
-        for &(s, e) in shared.iter() {
-            self.bus_bins.insert(e - s);
-        }
-        self.bus_seen = Some(Arc::clone(shared));
-    }
-
-    /// Patch pass: swap out only the resources whose storage changed.
-    ///
-    /// Returns `false` when a seen gap is missing from its multiset —
-    /// the cache state is inconsistent with what was actually inserted
-    /// (stale or raced), the multisets are left partially modified, and
-    /// the caller must [`rebuild`](Self::rebuild).
-    fn patch(&mut self, slack: &SlackProfile) -> bool {
-        for i in 0..self.pe_seen.len() {
-            let shared = slack.gaps_shared(incdes_model::PeId(i as u32));
-            if Arc::ptr_eq(&self.pe_seen[i], shared) {
-                continue;
-            }
-            self.patched_resources += 1;
-            counters::bump(Counter::C1Patched);
-            for &(s, e) in self.pe_seen[i].iter() {
-                if !self.pe_bins.remove(e - s) {
-                    return false;
-                }
-            }
-            for &(s, e) in shared.iter() {
-                self.pe_bins.insert(e - s);
-            }
-            self.pe_seen[i] = Arc::clone(shared);
-        }
-        let shared = slack.bus_windows_shared();
-        let stale = match &self.bus_seen {
-            Some(seen) => !Arc::ptr_eq(seen, shared),
-            None => true,
-        };
-        if stale {
-            self.patched_resources += 1;
-            counters::bump(Counter::C1Patched);
-            if let Some(seen) = &self.bus_seen {
-                for &(s, e) in seen.iter() {
-                    if !self.bus_bins.remove(e - s) {
-                        return false;
-                    }
-                }
-            }
-            for &(s, e) in shared.iter() {
-                self.bus_bins.insert(e - s);
-            }
-            self.bus_seen = Some(Arc::clone(shared));
-        }
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::criteria::{c1_messages, c1_processes};
     use incdes_model::{BusConfig, Histogram};
-    use incdes_sched::SlackProfile;
+    use incdes_sched::slack::GapList;
+    use std::sync::Arc;
 
     fn t(v: u64) -> Time {
         Time::new(v)
@@ -264,25 +171,27 @@ mod tests {
                 vec![pe0.into(), Arc::clone(&shared_pe1)].into(),
                 Arc::clone(&bus),
             );
-            let (c1p, c1m) = cache
-                .c1_terms(&arch, &slack, &future, FitPolicy::BestFit)
-                .unwrap();
+            let (c1p, c1m) = cache.c1_terms(&arch, &slack, &future, FitPolicy::BestFit);
             assert_eq!(c1p, c1_processes(&slack, &future, FitPolicy::BestFit));
             assert_eq!(c1m, c1_messages(&arch, &slack, &future, FitPolicy::BestFit));
         }
-        // PE1 and the bus never changed storage → only PE0 was patched
-        // (3 patch passes after the initial rebuild).
-        assert_eq!(cache.patched_resource_count(), 3);
-        assert_eq!(cache.evaluation_count(), 4);
     }
 
     #[test]
-    fn first_fit_reports_unsupported() {
+    fn first_fit_delegates_to_reference() {
         let arch = arch2();
-        let slack = SlackProfile::from_parts(t(480), vec![vec![], vec![]], vec![]);
-        assert!(C1Cache::new()
-            .c1_terms(&arch, &slack, &profile(), FitPolicy::FirstFit)
-            .is_none());
+        let future = profile();
+        let slack = SlackProfile::from_parts(
+            t(480),
+            vec![vec![(t(0), t(25)), (t(100), t(130))], vec![(t(0), t(60))]],
+            vec![(t(0), t(10))],
+        );
+        let (c1p, c1m) = C1Cache::new().c1_terms(&arch, &slack, &future, FitPolicy::FirstFit);
+        assert_eq!(c1p, c1_processes(&slack, &future, FitPolicy::FirstFit));
+        assert_eq!(
+            c1m,
+            c1_messages(&arch, &slack, &future, FitPolicy::FirstFit)
+        );
     }
 
     #[test]
@@ -295,9 +204,7 @@ mod tests {
             vec![(t(0), t(10))],
         );
         let mut cache = C1Cache::new();
-        let (c1p, c1m) = cache
-            .c1_terms(&arch, &slack, &future, FitPolicy::WorstFit)
-            .unwrap();
+        let (c1p, c1m) = cache.c1_terms(&arch, &slack, &future, FitPolicy::WorstFit);
         assert_eq!(c1p, c1_processes(&slack, &future, FitPolicy::WorstFit));
         assert_eq!(
             c1m,
@@ -305,56 +212,8 @@ mod tests {
         );
     }
 
-    /// A cache whose seen-storage lineage no longer matches what was
-    /// inserted (a stale/raced patch — the seen `Arc` names gaps that
-    /// were never added to the multiset) must detect the inconsistency
-    /// and fall back to a full repack instead of panicking inside
-    /// `multiset_remove`.
-    #[test]
-    fn mismatched_lineage_falls_back_to_rebuild() {
-        let arch = arch2();
-        let future = profile();
-        let mut cache = C1Cache::new();
-        let pe1: GapList = vec![(t(0), t(100))].into();
-        let bus: GapList = vec![(t(0), t(10))].into();
-        let first = SlackProfile::from_shared(
-            t(480),
-            vec![vec![(t(0), t(30))].into(), Arc::clone(&pe1)].into(),
-            Arc::clone(&bus),
-        );
-        cache
-            .c1_terms(&arch, &first, &future, FitPolicy::BestFit)
-            .unwrap();
-        // Simulate the raced state: PE0's seen storage is swapped for an
-        // Arc whose gaps were never inserted into `pe_bins`.
-        cache.pe_seen[0] = vec![(t(0), t(77))].into();
-        let second = SlackProfile::from_shared(
-            t(480),
-            vec![vec![(t(0), t(60))].into(), Arc::clone(&pe1)].into(),
-            Arc::clone(&bus),
-        );
-        let (c1p, c1m) = cache
-            .c1_terms(&arch, &second, &future, FitPolicy::BestFit)
-            .unwrap();
-        assert_eq!(c1p, c1_processes(&second, &future, FitPolicy::BestFit));
-        assert_eq!(
-            c1m,
-            c1_messages(&arch, &second, &future, FitPolicy::BestFit)
-        );
-        // And the repaired cache keeps patching correctly afterwards.
-        let third = SlackProfile::from_shared(
-            t(480),
-            vec![vec![(t(10), t(25))].into(), Arc::clone(&pe1)].into(),
-            Arc::clone(&bus),
-        );
-        let (c1p, _) = cache
-            .c1_terms(&arch, &third, &future, FitPolicy::BestFit)
-            .unwrap();
-        assert_eq!(c1p, c1_processes(&third, &future, FitPolicy::BestFit));
-    }
-
-    /// A future-profile change (new context reusing a cache) forces a
-    /// rebuild — stale items would silently misprice C1 otherwise.
+    /// A future-profile change (new context reusing a cache) rebuilds the
+    /// items — stale items would silently misprice C1 otherwise.
     #[test]
     fn future_change_rebuilds() {
         let arch = arch2();
@@ -365,9 +224,7 @@ mod tests {
         );
         let mut cache = C1Cache::new();
         let small = profile();
-        let (c1p_small, _) = cache
-            .c1_terms(&arch, &slack, &small, FitPolicy::BestFit)
-            .unwrap();
+        let (c1p_small, _) = cache.c1_terms(&arch, &slack, &small, FitPolicy::BestFit);
         assert_eq!(c1p_small, c1_processes(&slack, &small, FitPolicy::BestFit));
         // Same horizon/policy/PE count, very different demand.
         let big = FutureProfile::new(
@@ -377,28 +234,22 @@ mod tests {
             Histogram::point(t(200)),
             Histogram::point(4u32),
         );
-        let (c1p_big, _) = cache
-            .c1_terms(&arch, &slack, &big, FitPolicy::BestFit)
-            .unwrap();
+        let (c1p_big, _) = cache.c1_terms(&arch, &slack, &big, FitPolicy::BestFit);
         assert_eq!(c1p_big, c1_processes(&slack, &big, FitPolicy::BestFit));
         assert_ne!(c1p_small, c1p_big, "the demand change must be visible");
     }
 
-    /// A PE-count change (new context reusing a cache) forces a rebuild
-    /// instead of a bogus patch.
+    /// A PE-count change (new context reusing a cache) is measured
+    /// afresh: no container of the old profile survives.
     #[test]
     fn pe_count_change_rebuilds() {
         let arch = arch2();
         let future = profile();
         let mut cache = C1Cache::new();
         let slack3 = SlackProfile::from_parts(t(480), vec![vec![]; 3], vec![]);
-        cache
-            .c1_terms(&arch, &slack3, &future, FitPolicy::BestFit)
-            .unwrap();
+        cache.c1_terms(&arch, &slack3, &future, FitPolicy::BestFit);
         let slack2 = SlackProfile::from_parts(t(480), vec![vec![(t(0), t(480))]; 2], vec![]);
-        let (c1p, _) = cache
-            .c1_terms(&arch, &slack2, &future, FitPolicy::BestFit)
-            .unwrap();
+        let (c1p, _) = cache.c1_terms(&arch, &slack2, &future, FitPolicy::BestFit);
         assert_eq!(c1p, c1_processes(&slack2, &future, FitPolicy::BestFit));
     }
 }

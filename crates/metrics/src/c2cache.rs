@@ -1,19 +1,16 @@
 //! Splice-aware cache for the C2 (slack distribution) criterion.
 //!
 //! [`criteria::c2_intervals`](crate::criteria::c2_intervals) scans every
-//! `t_min` window of the horizon on every call. The incremental
-//! evaluation engine already shares gap lists by `Arc` — an untouched
-//! resource aliases the previous evaluation's storage — so the cheap
-//! cache is pointer identity: same `Arc`, same term. [`C2Cache`] keeps
-//! that fast path and adds a second tier for the lists that *did*
-//! change: it retains the per-window slack vector of the previous list
-//! and, on a storage miss, diffs the two interval lists (common prefix
-//! and suffix are found in one linear pass — a delta-spliced schedule
-//! changes a handful of adjacent reservations, so the differing middle
-//! is short) and recomputes only the windows the changed span
-//! intersects. Everything outside the span keeps its cached per-window
-//! slack, because the interval lists are sorted and disjoint: a window
-//! that intersects no changed interval has a bit-identical overlap sum.
+//! `t_min` window of the horizon on every call. [`C2Cache`] retains the
+//! per-window slack vector of each resource's previous list and diffs
+//! the new list against it (common prefix and suffix are found in one
+//! linear pass — a delta-spliced schedule changes a handful of adjacent
+//! reservations, so the differing middle is short), recomputing only
+//! the windows the changed span intersects. Everything outside the span
+//! keeps its cached per-window slack, because the interval lists are
+//! sorted and disjoint: a window that intersects no changed interval
+//! has a bit-identical overlap sum. An unchanged list costs one linear
+//! comparison and recomputes nothing.
 //!
 //! The terms produced are exactly
 //! [`c2_intervals`](crate::criteria::c2_intervals) — the equivalence is
@@ -27,8 +24,8 @@ use std::sync::Arc;
 /// One cached interval list with its per-window slack decomposition.
 #[derive(Debug)]
 struct Entry {
-    /// The storage the windows were measured on (holding the `Arc`
-    /// keeps it alive, making pointer identity a sound cache key).
+    /// The list the windows were measured on; the next lookup diffs
+    /// against it.
     arc: GapList,
     /// Slack per full `t_min` window (a single `[0, horizon)` entry
     /// when the horizon is shorter than `t_min`).
@@ -39,10 +36,10 @@ struct Entry {
 
 /// Per-resource C2 term cache with window-level incremental updates.
 ///
-/// One slot per PE plus one for the bus. Three tiers per lookup:
-/// pointer-identical storage returns the cached minimum, a changed list
-/// recomputes only the windows its diff span intersects, and anything
-/// else (first sight, window-grid change) rebuilds from scratch.
+/// One slot per PE plus one for the bus. Two tiers per lookup: a seen
+/// resource recomputes only the windows its diff span intersects (none
+/// for an equal list), and anything else (first sight, window-grid
+/// change) rebuilds from scratch.
 #[derive(Debug, Default)]
 pub struct C2Cache {
     pe: Vec<Option<Entry>>,
@@ -139,10 +136,6 @@ impl C2Cache {
             return Time::ZERO;
         }
         match slot {
-            Some(e) if Arc::ptr_eq(&e.arc, intervals) => {
-                counters::bump(Counter::C2IdentityHits);
-                e.min
-            }
             Some(e) => Self::update(e, intervals, horizon, t_min, windows_recomputed),
             None => {
                 *full_rebuilds += 1;
@@ -191,9 +184,6 @@ impl C2Cache {
             p += 1;
         }
         if p == old.len() && p == new.len() {
-            // Value-equal storage under a new allocation: adopt it so
-            // the next lookup hits the pointer tier.
-            e.arc = Arc::clone(intervals);
             return e.min;
         }
         let mut s = 0usize;
@@ -324,7 +314,7 @@ mod tests {
                 let expect = c2_intervals(&list, t(horizon), t(t_min));
                 let got = cache.pe_term(0, &list, t(horizon), t(t_min));
                 assert_eq!(got, expect, "H={horizon} t_min={t_min} list={list:?}");
-                // Pointer-identity hit must agree too.
+                // An unchanged list must agree too.
                 assert_eq!(cache.pe_term(0, &list, t(horizon), t(t_min)), expect);
                 list = mutate(&mut rng, &list, horizon).into();
             }
@@ -363,8 +353,9 @@ mod tests {
         let before = cache.windows_recomputed();
         assert_eq!(cache.pe_term(0, &b, t(480), t(120)), term);
         assert_eq!(cache.windows_recomputed(), before);
-        // And the adopted storage now hits the pointer tier.
-        assert_eq!(cache.pe_term(0, &b, t(480), t(120)), term);
+        // And the original storage still agrees.
+        assert_eq!(cache.pe_term(0, &a, t(480), t(120)), term);
+        assert_eq!(cache.windows_recomputed(), before);
     }
 
     #[test]

@@ -84,27 +84,32 @@ impl DesignCost {
     }
 }
 
-/// Evaluates the objective on a slack profile.
+/// Evaluates the objective on a slack profile, with the reference
+/// criteria: [`c1_processes`]/[`c1_messages`] run the indexed packer and
+/// [`c2_processes`]/[`c2_messages`] scan every window.
 pub fn evaluate(
     arch: &Architecture,
     slack: &SlackProfile,
     future: &FutureProfile,
     weights: &Weights,
 ) -> DesignCost {
+    let c1p = c1_processes(slack, future, weights.fit_policy);
+    let c1m = c1_messages(arch, slack, future, weights.fit_policy);
     let c2p = c2_processes(slack, future.t_min);
     let c2m = c2_messages(slack, future.t_min);
-    evaluate_with_c2(arch, slack, future, weights, c2p, c2m)
+    combine(future, weights, c1p, c1m, c2p, c2m)
 }
 
-/// [`evaluate`] with the C2 terms supplied by the caller.
+/// [`evaluate`] with the C2 terms supplied by the caller and the C1
+/// terms served by `c1` (see [`C1Cache`]).
 ///
 /// The C2 metrics are per-resource minima, so the incremental evaluation
-/// engine caches the per-PE terms of processors the current application
-/// never touches (their gap lists are the frozen-only ones) and the bus
-/// term when no new message was scheduled, recomputing only the rest.
-/// The caller-supplied values must equal [`c2_processes`] /
-/// [`c2_messages`] on `slack` — the weighting arithmetic lives only here
-/// so the two paths cannot diverge.
+/// engine keeps per-resource terms and re-measures only the windows a
+/// changed gap list touches. The caller-supplied values must equal
+/// [`c2_processes`] / [`c2_messages`] on `slack`, and `c1` returns
+/// exactly [`c1_processes`] / [`c1_messages`] for every policy — a
+/// debug build asserts all four on every call, and the weighting
+/// arithmetic lives only here so the paths cannot diverge.
 pub fn evaluate_with_c2(
     arch: &Architecture,
     slack: &SlackProfile,
@@ -112,48 +117,18 @@ pub fn evaluate_with_c2(
     weights: &Weights,
     c2p: Time,
     c2m: Time,
+    c1: &mut C1Cache,
 ) -> DesignCost {
     debug_assert_eq!(c2p, c2_processes(slack, future.t_min));
     debug_assert_eq!(c2m, c2_messages(slack, future.t_min));
-    let c1p = c1_processes(slack, future, weights.fit_policy);
-    let c1m = c1_messages(arch, slack, future, weights.fit_policy);
-    combine(future, weights, c1p, c1m, c2p, c2m)
-}
-
-/// [`evaluate_with_c2`] with the C1 terms additionally served by the
-/// incremental bin-packing bound: `cache` keeps the slack containers in
-/// a patched capacity multiset (see [`C1Cache`]) and repacks only the
-/// gap-list segments the delta invalidated, detected by `Arc` identity
-/// of the profile's shared storage. The order-dependent
-/// [`FitPolicy::FirstFit`] falls back to the full packer inside, so the
-/// result is identical to [`evaluate_with_c2`] for every policy — the
-/// weighting arithmetic is shared, and the debug assertion pins the C1
-/// equality on every call of a debug build.
-pub fn evaluate_with_c1_delta(
-    arch: &Architecture,
-    slack: &SlackProfile,
-    future: &FutureProfile,
-    weights: &Weights,
-    c2p: Time,
-    c2m: Time,
-    cache: &mut C1Cache,
-) -> DesignCost {
-    debug_assert_eq!(c2p, c2_processes(slack, future.t_min));
-    debug_assert_eq!(c2m, c2_messages(slack, future.t_min));
-    let (c1p, c1m) = match cache.c1_terms(arch, slack, future, weights.fit_policy) {
-        Some(terms) => terms,
-        None => (
-            c1_processes(slack, future, weights.fit_policy),
-            c1_messages(arch, slack, future, weights.fit_policy),
-        ),
-    };
+    let (c1p, c1m) = c1.c1_terms(arch, slack, future, weights.fit_policy);
     debug_assert_eq!(c1p, c1_processes(slack, future, weights.fit_policy));
     debug_assert_eq!(c1m, c1_messages(arch, slack, future, weights.fit_policy));
     combine(future, weights, c1p, c1m, c2p, c2m)
 }
 
-/// The weighting arithmetic shared by every evaluation path, so cached,
-/// incremental and fresh criteria cannot diverge in the final cost.
+/// The weighting arithmetic shared by both evaluation paths, so cached
+/// and reference criteria cannot diverge in the final cost.
 fn combine(
     future: &FutureProfile,
     weights: &Weights,

@@ -58,21 +58,15 @@ counters! {
     MemoInserts => "memo_inserts",
     /// Solution-memo entries evicted by the stamp-median retain.
     MemoEvictions => "memo_evictions",
-    /// C1 container multisets patched in place (changed lists only).
-    C1Patched => "c1_patched",
-    /// C1 container multisets rebuilt from scratch.
-    C1Repacked => "c1_repacked",
-    /// C2 terms answered by `Arc` pointer identity without recomputing.
-    C2IdentityHits => "c2_identity_hits",
     /// C2 `t_min` windows recomputed inside a differential update.
     C2WindowsRecomputed => "c2_windows_recomputed",
     /// C2 per-resource entries built from scratch (cold slot or new grid).
     C2FullRebuilds => "c2_full_rebuilds",
-    /// Slack gap lists aliased (frozen base or previous profile).
+    /// Slack gap lists aliased from the frozen base (untouched PEs).
     SlackGapsAliased => "slack_gaps_aliased",
     /// Slack gap lists re-derived from the live timelines.
     SlackGapsMaterialized => "slack_gaps_materialized",
-    /// Bus window lists aliased (frozen base or previous profile).
+    /// Bus window lists aliased from the frozen base (no new message).
     BusWindowsAliased => "bus_windows_aliased",
     /// Bus window lists derived by the linear patch over the baked list.
     BusWindowsPatched => "bus_windows_patched",

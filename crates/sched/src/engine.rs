@@ -85,10 +85,10 @@
 //! Both leave identical timelines, so the choice never shows in results.
 //!
 //! The slack profiles returned by every path are `Arc`-backed
-//! ([`SlackProfile::from_shared`]): untouched PEs alias the frozen
-//! base's gap lists, and on the delta path PEs untouched *by the delta*
-//! alias the previous evaluation's lists, so profile assembly costs one
-//! reference-count bump per unchanged resource.
+//! ([`SlackProfile::from_shared`]): PEs the current applications leave
+//! untouched alias the frozen base's gap lists (one reference-count
+//! bump each), and only touched resources are re-derived from the live
+//! timelines.
 
 use crate::job::JobId;
 use crate::list::{AppSpec, SchedError};
@@ -506,10 +506,6 @@ struct RunRecord {
     /// (job layout, application ids, graph shapes), shared with the
     /// scheduler's current tag while the structure is unchanged.
     arena: Arc<ArenaTag>,
-    /// Slack storage of the run, if a profile was derived — the next
-    /// delta run aliases the lists of PEs it does not change.
-    gap_arcs: Option<Arc<[GapList]>>,
-    bus_arc: Option<GapList>,
 }
 
 impl RunRecord {
@@ -525,8 +521,6 @@ impl RunRecord {
             snap: Vec::new(),
             edge_hints: Vec::new(),
             arena: Arc::clone(arena),
-            gap_arcs: None,
-            bus_arc: None,
         }
     }
 }
@@ -653,14 +647,6 @@ pub struct Scheduler {
     /// actually changed, so re-expansions of the same apps keep the
     /// pointer — and with it the applicability of existing records.
     arena_tag: Arc<ArenaTag>,
-    /// Scratch: PEs whose reservations the delta run changed.
-    changed_pe: Vec<bool>,
-    /// Whether the delta run changed any bus reservation.
-    changed_bus: bool,
-    /// Slack storage of the live record a delta run spliced from,
-    /// consumed by `slack_profile`; `None` after any other run.
-    prev_gap_arcs: Option<Arc<[GapList]>>,
-    prev_bus_arc: Option<GapList>,
     raw_schedules: usize,
     delta_schedules: usize,
     spliced_steps: usize,
@@ -1181,8 +1167,6 @@ impl Scheduler {
         check_horizon(apps, base.horizon)?;
         debug_assert_eq!(arch.pe_count(), base.pes.len(), "base built for this arch");
         self.raw_schedules += 1;
-        self.prev_gap_arcs = None;
-        self.prev_bus_arc = None;
         // Expansion, the record check and the divergence scan count as
         // splice work: they are the delta machinery's front-end.
         let splice_scope = phase::scope(Phase::Splice);
@@ -1205,7 +1189,7 @@ impl Scheduler {
             && live
                 .as_ref()
                 .is_some_and(|rec| self.record_applicable(rec, base));
-        let mut live = live.unwrap_or_else(|| RunRecord::empty(&self.arena_tag));
+        let live = live.unwrap_or_else(|| RunRecord::empty(&self.arena_tag));
         let div = if splice {
             self.divergence(apps, &live)
         } else {
@@ -1231,8 +1215,6 @@ impl Scheduler {
                 counters::add(Counter::SpliceStepsUndone, (live.steps.len() - div) as u64);
             }
             counters::add(Counter::SpliceStepsSpliced, div as u64);
-            self.prev_gap_arcs = live.gap_arcs.take();
-            self.prev_bus_arc = live.bus_arc.take();
         }
 
         // Scratch recycled from the spare record (the record retired by
@@ -1260,30 +1242,13 @@ impl Scheduler {
             touched,
             new_bus,
             popped,
-            changed_pe,
-            changed_bus,
             ..
         } = self;
-
-        changed_pe.clear();
-        changed_pe.resize(base.pes.len(), false);
-        *changed_bus = false;
 
         let replay_from = {
             let _undo = phase::scope(Phase::Undo);
             if rebase {
                 // --- Rebase: wipe the live run with a bulk reset --------
-                // Every PE the wiped run had touched may end up with a
-                // different gap list, so its previous-profile alias is
-                // dead.
-                if splice {
-                    for step in live.steps.iter() {
-                        changed_pe[live.snap[step.job as usize].pe.index()] = true;
-                    }
-                    if !live.msgs.is_empty() {
-                        *changed_bus = true;
-                    }
-                }
                 // Timelines of another shape (a base with a different
                 // PE count, horizon or bus cycle) are cloned whole.
                 if pes.len() == base.pes.len() {
@@ -1313,11 +1278,9 @@ impl Scheduler {
                         .rev()
                     {
                         bus.unreserve_tail(&m.reservation);
-                        *changed_bus = true;
                     }
                     let pe = live.snap[step.job as usize].pe;
                     pes[pe.index()].unreserve(step.start, step.end);
-                    changed_pe[pe.index()] = true;
                 }
                 div
             }
@@ -1335,7 +1298,6 @@ impl Scheduler {
             pes[pe.index()]
                 .reserve(step.start, step.end)
                 .expect("replayed placement fits its recorded interval");
-            changed_pe[pe.index()] = true;
             for m in &live.msgs[step.msg_lo as usize..step.msg_hi as usize] {
                 let r = bus
                     .reserve_in_occurrence(
@@ -1348,7 +1310,6 @@ impl Scheduler {
                     r.transmit_start, m.reservation.transmit_start,
                     "replayed reservation reproduces the recorded offset"
                 );
-                *changed_bus = true;
             }
         }
         let prefix_msg_count = if div == 0 {
@@ -1433,7 +1394,6 @@ impl Scheduler {
         steps.extend_from_slice(&live.steps[..div]);
         rec_msgs.clear();
         rec_msgs.extend_from_slice(&live.msgs[..prefix_msg_count]);
-        let before_msgs = rec_msgs.len();
         drop(splice_scope);
 
         let _replace = phase::scope(Phase::RePlace);
@@ -1455,17 +1415,6 @@ impl Scheduler {
             &mut push_step,
             &mut pop_step,
         );
-
-        // Every suffix placement (or message) changes its resource.
-        // Only the slack derivation of a spliced run consults this.
-        if splice {
-            for step in &steps[div..] {
-                changed_pe[jobs[step.job as usize].pe.index()] = true;
-            }
-            if rec_msgs.len() > before_msgs {
-                *changed_bus = true;
-            }
-        }
 
         let table = run
             .as_ref()
@@ -1610,47 +1559,34 @@ impl Scheduler {
         }));
         rec.edge_hints.clone_from(&self.edge_hints);
         rec.arena = Arc::clone(&self.arena_tag);
-        rec.gap_arcs = None;
-        rec.bus_arc = None;
         self.live = Some(rec);
     }
 
     /// The incremental slack of the most recent successful run: gap
-    /// lists of untouched PEs alias the base, unchanged-by-delta PEs
-    /// alias the previous run's profile, and only changed resources are
-    /// re-derived from the live timelines.
-    fn slack_profile(&mut self, base: &FrozenBase) -> SlackProfile {
+    /// lists of untouched PEs and an untouched bus alias the frozen
+    /// base, and only touched resources are re-derived from the live
+    /// timelines.
+    fn slack_profile(&self, base: &FrozenBase) -> SlackProfile {
         let _slack = phase::scope(Phase::Slack);
-        let prev_gaps = self.prev_gap_arcs.take();
-        let prev_bus = self.prev_bus_arc.take();
         let mut pe_gaps: Vec<GapList> = Vec::with_capacity(self.pes.len());
         for i in 0..self.pes.len() {
             let arc = if !self.touched[i] {
                 counters::bump(Counter::SlackGapsAliased);
                 Arc::clone(&base.pe_gaps[i])
-            } else if let Some(prev) = prev_gaps.as_ref().filter(|_| !self.changed_pe[i]) {
-                // The PE kept every reservation of the previous run, so
-                // the previous profile's list is bit-identical.
-                counters::bump(Counter::SlackGapsAliased);
-                Arc::clone(&prev[i])
             } else {
                 counters::bump(Counter::SlackGapsMaterialized);
                 self.pes[i].gap_iter().collect()
             };
             pe_gaps.push(arc);
         }
-        // One shared slab for the whole per-PE table: the profile, the
-        // live record's alias source and every memo clone downstream
-        // share it by reference-count bump instead of re-cloning
+        // One shared slab for the whole per-PE table: the profile and
+        // every memo clone downstream share it by reference-count bump instead of re-cloning
         // `pe_count` inner `Arc`s each.
         let pe_gaps: Arc<[GapList]> = pe_gaps.into();
 
         let bus_arc = if self.new_bus.is_empty() {
             counters::bump(Counter::BusWindowsAliased);
             Arc::clone(&base.bus_windows)
-        } else if let Some(prev) = prev_bus.filter(|_| !self.changed_bus) {
-            counters::bump(Counter::BusWindowsAliased);
-            prev
         } else {
             // Every occurrence a new message landed in had free room, so
             // it appears in the baked window list; patching is a linear
@@ -1678,10 +1614,6 @@ impl Scheduler {
             windows.into()
         };
 
-        if let Some(rec) = &mut self.live {
-            rec.gap_arcs = Some(Arc::clone(&pe_gaps));
-            rec.bus_arc = Some(Arc::clone(&bus_arc));
-        }
         SlackProfile::from_shared(base.horizon, pe_gaps, bus_arc)
     }
 }

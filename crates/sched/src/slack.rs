@@ -27,8 +27,8 @@ pub type GapList = Arc<[(Time, Time)]>;
 ///
 /// The gap lists are `Arc`-backed shared storage: the incremental
 /// evaluation engine ([`crate::engine`]) hands out profiles whose
-/// untouched-PE gap lists *share* the frozen base's (or the previous
-/// evaluation's) storage instead of deep-cloning it. Sharing is
+/// untouched-PE gap lists *share* the frozen base's storage instead of
+/// deep-cloning it. Sharing is
 /// invisible through this API — reads return plain slices, equality and
 /// serialization are by content, and the [`GapList`] storage is
 /// immutable (`Arc<[..]>` has no `make_mut`-style mutation path here),
@@ -103,8 +103,8 @@ impl SlackProfile {
     }
 
     /// The shared storage behind [`gaps_of`](Self::gaps_of). Exposed so
-    /// the incremental C1 cache (and tests) can detect unchanged gap
-    /// lists by `Arc::ptr_eq` instead of comparing contents.
+    /// the C2 cache can keep the list it measured without copying it,
+    /// and so tests can check which lists alias the frozen base.
     pub fn gaps_shared(&self, pe: PeId) -> &GapList {
         &self.pe_gaps[pe.index()]
     }

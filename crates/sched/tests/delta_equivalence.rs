@@ -20,7 +20,6 @@ use incdes_graph::NodeId;
 use incdes_model::{
     AppId, Application, Architecture, BusConfig, Message, PeId, Process, ProcessGraph, Time,
 };
-use incdes_obs::counters::{self, Counter};
 use incdes_sched::engine::{ChangedVar, FrozenBase, Scheduler};
 use incdes_sched::slack::GapList;
 use incdes_sched::{schedule, AppSpec, Hints, Mapping, MsgRef, ScheduleTable, SlackProfile};
@@ -521,7 +520,6 @@ fn hint_toggle_chain_splices_most_steps() {
     );
     let base = FrozenBase::new(&arch, Some(&frozen), horizon).unwrap();
     let mut engine = Scheduler::new();
-    let mut materialized = 0;
 
     for round in 0..20u32 {
         // Toggle the hint of p8 only — the job the list scheduler pops
@@ -530,13 +528,9 @@ fn hint_toggle_chain_splices_most_steps() {
         // else and the suffix touches a single PE.
         hints.set_proc_gap(ProcRef::new(0, NodeId(8)), round % 2);
         let spec = AppSpec::new(AppId(0), &app, &mapping, &hints);
-        let before = counters::snapshot();
         let (table, slack) = engine
             .schedule_delta_with_slack(&arch, &[spec], &base)
             .unwrap();
-        materialized = counters::snapshot()
-            .delta_since(&before)
-            .get(Counter::SlackGapsMaterialized);
         let reference = schedule(&arch, &[spec], Some(&frozen), horizon).unwrap();
         assert_eq!(table, reference, "round {round}");
         assert_eq!(slack, SlackProfile::from_table(&arch, &reference));
@@ -545,14 +539,6 @@ fn hint_toggle_chain_splices_most_steps() {
     assert!(
         engine.spliced_step_count() > 0,
         "hint-only moves must splice a prefix"
-    );
-    // Profiles of the final run share the base storage for PEs the
-    // current app never touched — none here (all PEs carry jobs), so
-    // instead check the previous-run reuse: at least one gap list was
-    // *not* rebuilt on the last run.
-    assert!(
-        materialized < 3,
-        "unchanged PEs must alias the previous profile ({materialized} fresh)"
     );
 }
 
